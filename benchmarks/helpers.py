@@ -1,8 +1,7 @@
 """Shared helpers for the experiment benchmarks.
 
 Every benchmark regenerates one table/figure-equivalent of the paper
-(see DESIGN.md, experiment index) and prints its rows so the numbers can be
-copied into EXPERIMENTS.md.
+(experiments E1–E14, one ``bench_e*.py`` file each) and prints its rows.
 """
 
 from __future__ import annotations

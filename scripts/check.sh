@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# One-command repo gate: fast test tier + examples smoke + tick-gating smoke
-# + quick perf smoke + perf floors + BENCH_PERF.json staleness.
+# One-command repo gate: fast test tier + examples smoke + quick perf smoke
+# + perf floors + BENCH_PERF.json staleness.
 #
 #   scripts/check.sh        (or: make check)
 #
@@ -76,48 +76,6 @@ print(f"  obs_tour: idle@{cycles}, samples={report['metrics']['samples']}, "
       f"perfetto_events={len(trace['traceEvents'])}")
 EOF
 
-echo "== tick-gating smoke (gating off vs on, fingerprints) =="
-# Next-action tick gating (PERFORMANCE.md "Tick gating & frame
-# macro-stepping") must be a pure optimization: a saturated scenario run
-# with gating forced off has to produce a byte-identical fingerprint,
-# including delivered memory words.
-python - <<'EOF'
-import math
-
-from repro.api import scenarios
-from repro.sim.clock import gating_default, ungated
-
-
-def normalize(obj):
-    if isinstance(obj, float):
-        return "NaN" if math.isnan(obj) else obj
-    if isinstance(obj, dict):
-        return {key: normalize(value) for key, value in sorted(obj.items())}
-    if isinstance(obj, (list, tuple)):
-        return [normalize(value) for value in obj]
-    return obj
-
-
-def fingerprint(name, cycles):
-    system = scenarios.build(name)
-    system.run_flit_cycles(cycles)
-    digest = system.fingerprint()
-    digest["memory_words"] = {
-        mem_name: dict(handle.memory._data)
-        for mem_name, handle in system.memories.items()}
-    return normalize(digest)
-
-
-assert gating_default(), "repo default must be tick gating on"
-name, cycles = "saturated_grid", 150
-gated = fingerprint(name, cycles)
-with ungated():
-    reference = fingerprint(name, cycles)
-assert gated == reference, \
-    f"{name}: gated run diverged from the ungated reference"
-print(f"  {name}: {cycles} cycles byte-identical with gating off vs on")
-EOF
-
 quick_json="$(mktemp /tmp/bench_quick.XXXXXX.json)"
 trap 'rm -f "$quick_json"' EXIT
 
@@ -164,11 +122,11 @@ echo "== BENCH_PERF.json staleness =="
 # fault is declared; src/repro/config because the slot allocation policy
 # (spread vs contiguous) decides the burst shapes the batched pipeline can
 # form, which directly moves the saturated_* numbers; src/repro/sim covers
-# the batching primitives (sim/batching.py), clock fusion and next-action
-# tick gating (sim/clock.py)
-# and the columnar stats layer (sim/stats.py); src/repro/obs because the
-# sampler's burst barrier shapes the batched pipeline in observed runs (and
-# must stay a no-op when no observers are declared).
+# the batching primitives (sim/batching.py), idle-skip and clock fusion
+# (sim/clock.py) and the columnar stats layer (sim/stats.py);
+# src/repro/obs because the sampler's burst barrier shapes the batched
+# pipeline in observed runs (and must stay a no-op when no observers are
+# declared).
 ENGINE_PATHS=(src/repro/sim src/repro/core src/repro/network src/repro/api
               src/repro/design src/repro/ip src/repro/mem src/repro/analysis
               src/repro/faults src/repro/config src/repro/protocol

@@ -13,7 +13,7 @@ strand silently until an unrelated event happens to wake the clock.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Set
+from typing import Iterator, Set
 
 from repro.analysis.lint.framework import (
     LintRule,
@@ -169,71 +169,6 @@ class ImpureIsIdleRule(LintRule):
                             f"{class_node.name}.{name} mutates self; "
                             "idleness probes must be side-effect free")
                         break
-
-
-#: Self-rooted calls that mutate state (for purity probes).
-_MUTATING_CALLS = _PRODUCER_CALLS | {"pop", "popleft", "clear", "discard",
-                                     "remove"}
-
-
-def _mutates_self(method: ast.FunctionDef) -> Optional[ast.AST]:
-    """The first node in ``method`` that mutates ``self``-rooted state."""
-    for node in ast.walk(method):
-        if isinstance(node, _MUTATION_NODES):
-            targets = node.targets if isinstance(node, ast.Assign) \
-                else getattr(node, "targets",
-                             [getattr(node, "target", None)])
-            for target in targets:
-                if target is not None and receiver_root(target) == "self":
-                    return node
-        elif isinstance(node, ast.Call):
-            if (call_name(node) in _MUTATING_CALLS
-                    and isinstance(node.func, ast.Attribute)
-                    and receiver_root(node.func.value) == "self"):
-                return node
-    return None
-
-
-@register_rule
-class GateNextActionConsistentRule(LintRule):
-    """``next_action_cycle`` overrides must ride the wake protocol, purely.
-
-    A next-action horizon (PERFORMANCE.md "Tick gating & frame
-    macro-stepping") is only sound when stimulus can cancel it, so a class
-    overriding ``next_action_cycle`` must take part in the wake protocol:
-    override ``is_idle()`` (whose contract already requires wake hooks on
-    every stimulus path) or visibly call ``notify_active()``/``wake()``
-    itself.  And the probe must be pure — the clock may call it every
-    edge, once per dense window, or never, so any side effect would make
-    results depend on the gating schedule.
-    """
-
-    rule_id = "gate-next-action-consistent"
-    title = "next_action_cycle without wake wiring, or impure"
-    contract = "PERFORMANCE.md: tick gating & frame macro-stepping"
-
-    def check(self, module: ModuleUnderLint) -> Iterator[Violation]:
-        for class_node in module.class_defs():
-            method = class_methods(class_node).get("next_action_cycle")
-            if method is None:
-                continue
-            if not defines_method(class_node, "is_idle") and not any(
-                    isinstance(node, ast.Call)
-                    and call_name(node) in ("notify_active", "wake")
-                    for node in ast.walk(class_node)):
-                yield self.violation(
-                    module, method,
-                    f"{class_node.name}.next_action_cycle has no wake "
-                    "wiring: override is_idle() (whose stimulus paths "
-                    "must notify) or call notify_active() so a standing "
-                    "gate can be cancelled")
-            mutation = _mutates_self(method)
-            if mutation is not None:
-                yield self.violation(
-                    module, mutation,
-                    f"{class_node.name}.next_action_cycle mutates self; "
-                    "horizon probes must be pure — the clock may call "
-                    "them on any schedule (or not at all)")
 
 
 @register_rule

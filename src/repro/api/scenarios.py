@@ -273,8 +273,12 @@ def _config_system(num_data_nis: int = 2, num_slots: int = 8,
 # ---------------------------------------------------------------------------
 @scenario("ring",
           description="Master/memory pairs around a ring topology; each "
-                      "request crosses several ring hops.",
-          tags=("functional",))
+                      "request crosses several ring hops.  The registry's "
+                      "negative example: its auto-routed best-effort paths "
+                      "close a channel-dependency cycle, so the build warns "
+                      "with a DeadlockWarning (the light posted load still "
+                      "drains).",
+          tags=("functional", "negative"))
 def _ring(num_pairs: int = 3, hops: int = 3, gt: bool = False,
           slots: int = 2, num_slots: int = 8, period_cycles: int = 8,
           burst_words: int = 4,

@@ -59,12 +59,7 @@ from repro.network.packet import (
     packet_to_flits,
 )
 from repro.network.slot_table import SlotTable
-from repro.sim.batching import (
-    FAR_FUTURE,
-    NO_BARRIER,
-    batching_default,
-    burst_cap,
-)
+from repro.sim.batching import NO_BARRIER, batching_default, burst_cap
 from repro.sim.clock import ClockedComponent
 from repro.sim.engine import Simulator
 from repro.sim.stats import StatsRegistry
@@ -306,52 +301,6 @@ class NIKernel(ClockedComponent):
             if channel.potentially_active():
                 return False
         return True
-
-    def next_action_cycle(self, cycle: int) -> int:
-        """Next-action horizon — the TDMA frame macro-stepping rule.
-
-        With a static slot table and a quiescent best-effort side, the only
-        cycles a tick can change state are (a) the cycle a new transmit
-        decision is due (``_tx_busy_until`` after a burst) and (b) cycles
-        whose TDM slot is *owned*: an owned slot either transmits or bumps
-        ``gt_slots_unused`` — both observable — while an unowned slot with
-        nothing pending is a proven no-op.  Scanning the cached slot->owner
-        list for the next owned slot therefore steps whole slot-table
-        revolutions in one edge (one per reservation run), which is the
-        analytic macro-step; the burst machinery already packetizes the
-        owner run when that edge fires.
-
-        Exactness notes (why each branch is dense):
-
-        * flits in flight on ``from_network`` — receive work happens every
-          tick, even inside a transmit-busy window;
-        * a stale slot cache — purity forbids refreshing it here, and the
-          horizon must not be computed from stale owners;
-        * continuation flits or a non-empty BE ready overlay — per-flit
-          sends, BE arbitration and ``be_stalls``/CDC-visibility polling
-          all happen cycle by cycle once the busy window ends.
-        """
-        link = self.from_network
-        if link is not None and (
-                link._stage is not None or link._incoming is not None
-                or link._staged_burst is not None
-                or link._incoming_burst is not None
-                or link._trickle is not None):
-            return cycle + 1
-        if self._slot_cache_version != self.slot_table.version:
-            return cycle + 1
-        nxt = self._tx_busy_until
-        if nxt <= cycle:
-            nxt = cycle + 1
-        if self._gt_flits or self._be_flits or self._be_ready:
-            return nxt
-        owners = self._slot_owners
-        num_slots = self.num_slots
-        for offset in range(num_slots):
-            c = nxt + offset
-            if owners[c % num_slots] is not None:
-                return c
-        return FAR_FUTURE
 
     def is_quiescent(self) -> bool:
         """True when ticking only *observes* state (no data in flight).

@@ -29,7 +29,6 @@ from repro.protocol.messages import (
     request_from_words,
     response_from_words,
 )
-from repro.sim.batching import FAR_FUTURE
 from repro.sim.clock import ClockedComponent
 from repro.sim.stats import StatsRegistry
 from repro.sim.trace import NULL_TRACER, Tracer
@@ -43,13 +42,6 @@ class ShellError(RuntimeError):
 
 class ConnectionShell(ClockedComponent):
     """Message-level shell over one NI kernel port."""
-
-    #: Wake hook for the protocol adapter above (master/slave shell): called
-    #: after every completed message reassembly so a tick-gated adapter is
-    #: un-gated the moment work for it exists.  ``tick`` itself never acts
-    #: on ``_rx_ready`` — only the adapter's tick drains it — so without
-    #: this hook a delivery could sit under a standing adapter gate forever.
-    on_deliver = None
 
     #: 'master' shells send requests and receive responses; 'slave' shells the
     #: reverse.  The role determines how incoming words are parsed.
@@ -161,20 +153,6 @@ class ConnectionShell(ClockedComponent):
             if channel.dest_queue.total_fill:
                 return False
         return True
-
-    def next_action_cycle(self, cycle: int) -> int:
-        """Dense while streaming out or while the rx scan is armed.
-
-        Both directions move one word per cycle (backpressure and CDC
-        visibility can change every edge), so no horizon tighter than
-        ``cycle + 1`` is attempted; the win is the FAR claim between
-        messages.  ``_rx_ready`` deliberately does not keep this shell
-        dense: only the adapter above acts on it, and :attr:`on_deliver`
-        un-gates that adapter the moment a message completes.
-        """
-        if self._tx_queue or self._rx_maybe:
-            return cycle + 1
-        return FAR_FUTURE
 
     def request_flush(self, conn: int = 0) -> None:
         """Raise the per-channel flush signal (Section 4.1)."""
@@ -296,9 +274,6 @@ class ConnectionShell(ClockedComponent):
                                        "message_received",
                                        conn=conn, words=len(words))
                 self._deliver(message, conn)
-                on_deliver = self.on_deliver
-                if on_deliver is not None:
-                    on_deliver()
 
     def _pick_rx_conn(self) -> Optional[int]:
         channels = self._conn_channels

@@ -38,7 +38,6 @@ from repro.protocol.transactions import (
     TransactionResponse,
     TransactionStatus,
 )
-from repro.sim.batching import FAR_FUTURE
 from repro.sim.clock import ClockedComponent
 from repro.sim.stats import StatsRegistry
 from repro.sim.trace import NULL_TRACER, Tracer
@@ -78,14 +77,6 @@ class MasterShell(ClockedComponent):
         self.retry_backoff = retry_backoff
         self.tracer = tracer
         self.stats = StatsRegistry()
-        #: Wake hook for the master IP above: called whenever a completion
-        #: is appended, so a tick-gated IP collects it (mirrors
-        #: ``ConnectionShell.on_deliver`` one layer down).
-        self.on_complete = None
-        # Un-gate this shell the moment the connection shell reassembles a
-        # response (tick gating: a standing gate is only cancelled by an
-        # explicit notify).
-        shell.on_deliver = self.notify_active
         self._next_trans_id = 0
         self._pending: Deque[Tuple[int, Transaction]] = deque()  # (ready_cycle, txn)
         self._outstanding: Dict[int, Transaction] = {}
@@ -172,31 +163,6 @@ class MasterShell(ClockedComponent):
         return (not self._pending and not self._completed
                 and not self._retry_state)
 
-    def next_action_cycle(self, cycle: int) -> int:
-        """Horizon: reassembled responses now, else the next deadline.
-
-        Dense while the connection shell holds responses to complete.
-        Otherwise the earliest of the next sequentialization-ready request
-        (``_pending`` is ready-ordered: FIFO with a constant delay) and the
-        earliest retry deadline; the ``max(..., cycle + 1)`` clamp keeps a
-        backpressure-deferred issue or retransmit dense, matching the
-        per-cycle ``issue_stalls`` accounting of an ungated run.  New
-        submissions and deliveries cancel the gate via ``notify_active`` /
-        :attr:`ConnectionShell.on_deliver`.
-        """
-        if self.shell._rx_ready:
-            return cycle + 1
-        horizon = FAR_FUTURE
-        if self._pending:
-            horizon = self._pending[0][0]
-        if self._retry_state:
-            for state in self._retry_state.values():
-                if state[0] < horizon:
-                    horizon = state[0]
-        if horizon <= cycle:
-            return cycle + 1
-        return horizon
-
     def request_flush(self) -> None:
         """Propagate a flush request to the kernel (prevents starvation when
         the IP waits for an acknowledgement of buffered write data)."""
@@ -233,8 +199,6 @@ class MasterShell(ClockedComponent):
                 transaction.complete(TransactionResponse(), cycle=cycle)
                 self._completed.append(transaction)
                 self._ctr_posted_completions.increment()
-                if self.on_complete is not None:
-                    self.on_complete()
             self._ctr_requests_issued.increment()
 
     def _complete(self, cycle: int) -> None:
@@ -266,8 +230,6 @@ class MasterShell(ClockedComponent):
             transaction.complete(response, cycle=cycle)
             self._completed.append(transaction)
             self._ctr_responses_received.increment()
-            if self.on_complete is not None:
-                self.on_complete()
             if transaction.latency_cycles is not None:
                 self._lat_transaction.record(transaction.issue_cycle, cycle)
 
@@ -290,8 +252,6 @@ class MasterShell(ClockedComponent):
                     cycle=cycle)
                 self._completed.append(transaction)
                 self._ctr_timeouts.increment()
-                if self.on_complete is not None:
-                    self.on_complete()
                 continue
             # Retransmit the same request (same trans_id) with exponential
             # backoff; shell backpressure just defers to the next cycle.

@@ -19,7 +19,6 @@ from typing import Deque, Optional, Tuple
 from repro.core.shells.base import ConnectionShell, ShellError
 from repro.protocol.messages import RequestMessage, ResponseMessage
 from repro.protocol.transactions import Command, Transaction
-from repro.sim.batching import FAR_FUTURE
 from repro.sim.clock import ClockedComponent
 from repro.sim.stats import StatsRegistry
 from repro.sim.trace import NULL_TRACER, Tracer
@@ -44,12 +43,6 @@ class SlaveShell(ClockedComponent):
         #: Requests handed to the slave IP that expect a response, in order.
         self._awaiting_response: Deque[RequestMessage] = deque()
         self._response_backlog: Deque[ResponseMessage] = deque()
-        # Un-gate this shell when the connection shell reassembles a request
-        # (tick gating: a standing gate is only cancelled by a notify).
-        shell.on_deliver = self.notify_active
-        #: Slave IP's bound ``is_idle``, cached for the next-action horizon
-        #: (None for duck-typed slaves without an activity predicate).
-        self._slave_is_idle = getattr(slave, "is_idle", None)
 
     # ----------------------------------------------------------------- clock
     def tick(self, cycle: int) -> None:
@@ -128,26 +121,6 @@ class SlaveShell(ClockedComponent):
         would keep this clock running until the response is drained.
         """
         return not self._awaiting_response and not self._response_backlog
-
-    def next_action_cycle(self, cycle: int) -> int:
-        """Dense while polling the slave IP or draining the backlog.
-
-        The slave IP below may be an unclocked immediate executor or a
-        multi-cycle memory model; either way ``pop_response`` must be
-        polled every cycle while a request is outstanding (the IP exposes
-        no completion hook), so the only gain claimed here is the FAR
-        claim between transactions.  The slave's own activity predicate is
-        consulted because posted commands leave ``_awaiting_response``
-        empty while the slave still owes a drain of its done queue.  Fresh
-        requests cancel the gate via :attr:`ConnectionShell.on_deliver`.
-        """
-        if (self._awaiting_response or self._response_backlog
-                or self.shell._rx_ready):
-            return cycle + 1
-        slave_is_idle = self._slave_is_idle
-        if slave_is_idle is not None and not slave_is_idle():
-            return cycle + 1
-        return FAR_FUTURE
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"SlaveShell({self.name}, protocol={self.protocol})"

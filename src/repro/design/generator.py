@@ -107,17 +107,16 @@ class SystemModel:
     def functionally_idle(self) -> bool:
         """True when no component can change workload-visible state.
 
-        Every component is idle — except NI kernels holding GT slot
-        reservations, which by contract tick forever to sample
-        ``gt_slots_unused``; those count as done once quiescent (nothing in
-        flight, see ``NIKernel.is_quiescent``).  Components are scanned even
-        on sleeping clocks: under tick gating a clock sleeps whenever no
-        component will act *on its own* (a master blocked on a response is
-        non-idle yet has a far-future horizon), so "asleep" no longer
-        implies "every component idle" the way pure idle-skip did.
+        Every clock is either asleep or drives only components that are
+        idle — except NI kernels holding GT slot reservations, which by
+        contract tick forever to sample ``gt_slots_unused``; those count as
+        done once quiescent (nothing in flight, see
+        ``NIKernel.is_quiescent``).
         """
         clocks = [self.noc.flit_clock, *self.port_clocks.values()]
         for clock in clocks:
+            if clock.sleeping:
+                continue
             for component in clock._components:
                 if component.is_idle():
                     continue

@@ -59,24 +59,6 @@ class FaultInjector(ClockedComponent):
     def is_idle(self) -> bool:
         return self._next >= len(self._events)
 
-    def next_action_cycle(self, cycle: int) -> int:
-        """Horizon: the next unapplied event's cycle (ticks between no-op).
-
-        Skipping straight to the event cycle is exact: the intervening
-        ticks only re-evaluate ``events[_next].cycle <= cycle`` to False,
-        and once the event applies, every mutation that standing gates
-        depend on cancels them — reroutes go through
-        ``NIKernel.write_register`` (which notifies), while link
-        fail/lossy flags only affect traffic that arrives via ``send``
-        (which un-gates the sink itself).
-        """
-        if self._next >= len(self._events):
-            return FAR_FUTURE
-        nxt = self._events[self._next].cycle
-        if nxt <= cycle:
-            return cycle + 1
-        return nxt
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (f"FaultInjector({self._next}/{len(self._events)} "
                 f"events applied)")

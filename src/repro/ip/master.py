@@ -14,7 +14,6 @@ from typing import Deque, List, Optional
 from repro.core.shells.master import MasterShell
 from repro.ip.traffic import TrafficPattern
 from repro.protocol.transactions import Transaction, TransactionStatus
-from repro.sim.batching import FAR_FUTURE
 from repro.sim.clock import ClockedComponent
 from repro.sim.stats import StatsRegistry
 
@@ -34,9 +33,6 @@ class TrafficGeneratorMaster(ClockedComponent):
         self.stats = StatsRegistry()
         self.completed: List[Transaction] = []
         self._backlog: Deque[Transaction] = deque()
-        # Un-gate this IP the moment the shell below appends a completion
-        # (tick gating: a standing gate is only cancelled by a notify).
-        shell.on_complete = self.notify_active
         self._generated = 0
         self._cycle = 0
         #: Pattern fast path: cycles strictly below this are guaranteed
@@ -99,35 +95,6 @@ class TrafficGeneratorMaster(ClockedComponent):
         the shared clock awake.
         """
         return not self._backlog and self._pattern_exhausted()
-
-    def next_action_cycle(self, cycle: int) -> int:
-        """Horizon: the pattern's next active cycle once nothing is queued.
-
-        Dense while transactions await submission or collection; otherwise
-        the generator sleeps until ``_next_active`` (the pattern's own
-        guaranteed-traffic-free fast path, so skipping to it is exact).
-        With a ``stop_cycle`` pattern the horizon is clamped to the stop
-        cycle: ``_pattern_exhausted`` reads the *recorded* ``_cycle``, so
-        one tick at the stop cycle is required before the FAR claim —
-        otherwise ``done()`` and ``is_idle`` would report unexhausted off a
-        stale cycle forever.
-        """
-        if self._backlog or self.shell.uncollected_completions:
-            return cycle + 1
-        pattern = self.pattern
-        if pattern is None:
-            return FAR_FUTURE
-        if self.max_transactions is not None:
-            if self._generated >= self.max_transactions:
-                return FAR_FUTURE
-        elif self.stop_cycle is not None and self._cycle >= self.stop_cycle:
-            return FAR_FUTURE
-        nxt = self._next_active
-        if self.stop_cycle is not None and nxt > self.stop_cycle:
-            nxt = self.stop_cycle
-        if nxt <= cycle:
-            return cycle + 1
-        return nxt
 
     def _generate(self, cycle: int) -> None:
         pattern = self.pattern

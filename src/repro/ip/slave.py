@@ -24,7 +24,6 @@ from repro.protocol.transactions import (
     Transaction,
     TransactionResponse,
 )
-from repro.sim.batching import FAR_FUTURE
 from repro.sim.clock import ClockedComponent
 from repro.sim.stats import StatsRegistry
 
@@ -103,12 +102,6 @@ class MemorySlave(SlaveIP):
         return not self._pending and not self._done
 
     # ----------------------------------------------------------------- clock
-    # Deliberately no ``next_action_cycle`` override: ``enqueue`` computes
-    # each transaction's ready cycle from ``self._cycle``, the cycle of the
-    # *last executed tick*.  Gating this component's ticks while its shell
-    # keeps running would change that staleness and hence the ready stamps,
-    # so it must keep the non-overrider contract (tick on every executed
-    # edge while non-idle).
     def tick(self, cycle: int) -> None:
         self._cycle = cycle
         executed = 0
@@ -150,12 +143,6 @@ class RegisterSlave(SlaveIP):
     def is_idle(self) -> bool:
         """Activity predicate for idle-skip: no responses awaiting drainage."""
         return not self._done
-
-    def next_action_cycle(self, cycle: int) -> int:
-        # Unclocked immediate executor: ``enqueue`` does all the work and the
-        # inherited tick is a no-op, so no future tick can change state; the
-        # slave shell drains ``_done`` while this slave reports non-idle.
-        return FAR_FUTURE
 
     def _execute(self, transaction: Transaction) -> TransactionResponse:
         top = transaction.address + max(transaction.read_length,

@@ -323,42 +323,6 @@ class DRAMController:
             return refresh_start + self.timing.tRFC
         return cycle
 
-    # ------------------------------------------------------------ horizons
-    def next_ready_cycle(self, cycle: int) -> Optional[int]:
-        """Earliest future cycle a tick can change controller state.
-
-        Pure (no attribute writes) — the tick-gating horizon for
-        :class:`repro.mem.slave.DRAMBackedSlave`.  Ticks strictly between
-        ``cycle`` and the returned value are observable no-ops:
-
-        * completions pop at ``_in_flight[0][0]`` (done cycles are
-          monotonic in issue order because the shared data bus serializes
-          transfers: ``data_start = max(.., _bus_free)``);
-        * an issue can only happen once the data bus is close enough,
-          i.e. at ``_bus_free - tRCD - tCL`` — before that ``_issue``
-          early-returns *before* calling the scheduler, so no scheduler
-          state (FR-FCFS starvation counters) is touched on skipped
-          cycles either;
-        * unreleased/undrained results need the owner's next tick.
-
-        Returns ``None`` when the controller is fully drained (no tick
-        will ever change state until the next :meth:`admit`).
-        """
-        horizon: Optional[int] = None
-        if self._in_flight:
-            horizon = self._in_flight[0][0]
-        if self._pending:
-            eligible = self._bus_free - self.timing.tRCD - self.timing.tCL
-            if eligible <= cycle:
-                eligible = cycle + 1
-            if horizon is None or eligible < horizon:
-                horizon = eligible
-        if self._released or self._next_release in self._finished:
-            # Results awaiting the owner's drain (or an in-order release
-            # that became possible mid-tick): act on the very next tick.
-            horizon = cycle + 1
-        return horizon
-
     # ------------------------------------------------------------- results
     def pop_completed(self) -> Optional[Tuple[Transaction, int, int]]:
         """Next ``(transaction, arrival_cycle, done_cycle)``, arrival order."""

@@ -30,7 +30,6 @@ from repro.mem.timing import (
     resolve_timing,
 )
 from repro.protocol.transactions import Transaction, TransactionResponse
-from repro.sim.batching import FAR_FUTURE
 from repro.sim.stats import StatsRegistry
 
 
@@ -92,26 +91,6 @@ class DRAMBackedSlave(SlaveIP):
     def is_idle(self) -> bool:
         """Activity predicate for idle-skip: no request anywhere in flight."""
         return not self._inbox and not self.controller.busy and not self._done
-
-    def next_action_cycle(self, cycle: int) -> int:
-        """Horizon from the controller's absolute timing stamps.
-
-        Dense while the inbox holds unadmitted transactions; otherwise the
-        controller's :meth:`~repro.mem.controller.DRAMController.next_ready_cycle`
-        bounds the next completion/issue exactly (refresh windows are a pure
-        function of the cycle index, so nothing fires between horizons).  A
-        non-empty ``_done`` queue needs no horizon of its own: draining it is
-        the shell's ``pop_response`` call, not this component's tick, and the
-        slave shell stays dense while this slave reports non-idle.
-        """
-        if self._inbox:
-            return cycle + 1
-        nxt = self.controller.next_ready_cycle(cycle)
-        if nxt is None:
-            return FAR_FUTURE
-        if nxt <= cycle:
-            return cycle + 1
-        return nxt
 
     # ----------------------------------------------------------------- clock
     def tick(self, cycle: int) -> None:

@@ -33,7 +33,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.network.packet import Flit
-from repro.sim.batching import FAR_FUTURE
 from repro.sim.clock import ClockedComponent
 from repro.sim.stats import StatsRegistry, WindowedRate
 from repro.sim.trace import NULL_TRACER, Tracer
@@ -55,9 +54,6 @@ class Link(ClockedComponent):
         #: Sink's bound ``be_space`` method, cached at wiring time so the
         #: per-flit backpressure check skips the hasattr probe (hot path).
         self._sink_be_space = None
-        #: True when the sink participates in tick gating (cached isinstance
-        #: so send() pays one bool test, not a type check per flit).
-        self._sink_clocked = False
         self.sink_port: int = 0
         self.source: Optional[object] = None
         self.source_port: int = 0
@@ -101,7 +97,6 @@ class Link(ClockedComponent):
     def sink(self, component: Optional[object]) -> None:
         self._sink = component
         self._sink_be_space = getattr(component, "be_space", None)
-        self._sink_clocked = isinstance(component, ClockedComponent)
 
     # ---------------------------------------------------------------- wiring
     def connect(self, source: object, source_port: int,
@@ -178,11 +173,6 @@ class Link(ClockedComponent):
         # protocol contract): keeping this clock awake until the flit is
         # staged and consumed is what delivers it to an otherwise-idle sink.
         self.notify_active()
-        # Tick gating: the sink may hold a standing next-action gate
-        # computed while this wire was empty; a flit in flight invalidates
-        # it, and only the link knows the sink to tell.
-        if self._sink_clocked and self._sink._gate_until:
-            self._sink.notify_active()
 
     def send_burst(self, flits: List[Flit], cycle: int) -> None:
         """Offer a contiguous run of one packet's flits starting at ``cycle``.
@@ -228,8 +218,6 @@ class Link(ClockedComponent):
         if self.meter is not None:
             self.meter.add_run(cycle, count)
         self.notify_active()
-        if self._sink_clocked and self._sink._gate_until:
-            self._sink.notify_active()
 
     # ---------------------------------------------------------------- faults
     @property
@@ -361,24 +349,6 @@ class Link(ClockedComponent):
                 and self._staged_burst is None
                 and self._incoming_burst is None
                 and self._trickle is None)
-
-    def next_action_cycle(self, cycle: int) -> int:
-        """Dense while any flit occupies the wire, never otherwise.
-
-        A link's only tick work is the register move in :meth:`post_tick`,
-        so its horizon is exactly its idleness — but reporting it lets a
-        gating clock trust the standing FAR gate instead of re-polling
-        ``is_idle`` on every edge, and new sends cancel the gate through
-        :meth:`send`'s ``notify_active``.  (``_busy_until`` is deliberately
-        not consulted: a spent burst window gates *senders*, and senders
-        are dense while they hold flits.)
-        """
-        if (self._stage is None and self._incoming is None
-                and self._staged_burst is None
-                and self._incoming_burst is None
-                and self._trickle is None):
-            return FAR_FUTURE
-        return cycle + 1
 
     def post_tick(self, cycle: int) -> None:
         if self._incoming is not None:

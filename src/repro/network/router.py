@@ -27,7 +27,6 @@ from typing import Deque, List, Optional
 from repro.network.link import Link
 from repro.network.packet import Flit
 from repro.network.slot_table import RouterSlotTable
-from repro.sim.batching import FAR_FUTURE
 from repro.sim.clock import ClockedComponent
 from repro.sim.engine import Simulator
 from repro.sim.stats import CounterColumn, StatsRegistry
@@ -178,29 +177,6 @@ class Router(ClockedComponent):
             if state.gt_queue or state.be_queue:
                 return False
         return True
-
-    def next_action_cycle(self, cycle: int) -> int:
-        """Dense while anything is buffered or in flight on an input link.
-
-        Buffered flits need arbitration every cycle (round-robin state and
-        backpressure can change each edge), so no horizon tighter than
-        ``cycle + 1`` is attempted — the win is the FAR claim for the empty
-        router, which lets a saturated run gate the routers a flow does not
-        cross.  In-flight flits are covered by the in-link scan plus the
-        sender-side un-gate in :meth:`Link.send`; ``_gt_out_busy_until``
-        windows are deliberately ignored (a spent window changes nothing
-        until new flits arrive, and those arrive through a link).
-        """
-        for state in self._inputs:
-            if state.gt_queue or state.be_queue:
-                return cycle + 1
-        for _port, link in self._wired_in_links:
-            if (link._stage is not None or link._incoming is not None
-                    or link._staged_burst is not None
-                    or link._incoming_burst is not None
-                    or link._trickle is not None):
-                return cycle + 1
-        return FAR_FUTURE
 
     # -------------------------------------------------------------- incoming
     def _accept_incoming(self, cycle: int) -> None:

@@ -25,10 +25,7 @@ Wake-protocol note: like the fault injector, sample points become due
 through the passage of cycles alone — nothing calls ``notify_active()``
 for them — so the sampler reports busy while enabled, keeping the flit
 clock ticking.  It is quiescent by definition (pull-only reads), so
-``run_until_idle`` still terminates when the workload drains.  Under tick
-gating the sampler additionally reports the next on-stride cycle as its
-``next_action_cycle`` horizon, so an otherwise-gated flit clock skips
-straight from sample to sample instead of ticking the off-stride no-ops.
+``run_until_idle`` still terminates when the workload drains.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.obs.probes import ObsError, Probe
-from repro.sim.batching import FAR_FUTURE, BurstBarrier
+from repro.sim.batching import BurstBarrier
 from repro.sim.clock import ClockedComponent
 
 
@@ -116,13 +113,6 @@ class MetricsSampler(ClockedComponent):
         # Sample points become due by cycle count alone; stay busy so the
         # clock keeps ticking (the fault-injector pattern).
         return not self.enabled
-
-    def next_action_cycle(self, cycle: int) -> int:
-        """Horizon: the next on-stride cycle (ticks between are no-ops)."""
-        if not self.enabled:
-            return FAR_FUTURE
-        stride = self.stride
-        return cycle - (cycle % stride) + stride
 
     def is_quiescent(self) -> bool:
         # Pull-only reads: sampling never keeps workload state in flight.

@@ -33,11 +33,6 @@ from contextlib import contextmanager
 from typing import Iterator
 
 #: Sentinel cycle meaning "no scheduled event will ever truncate a burst".
-#: The tick-gating layer (``sim/clock.py``) reuses it as the next-action
-#: horizon meaning "this component never acts again absent stimulus": a
-#: clock whose components all report it goes to sleep instead of scheduling
-#: an edge that would never pop.  Both uses share one sentinel on purpose —
-#: every cycle arithmetic in the simulator saturates at the same ceiling.
 FAR_FUTURE = 1 << 60
 
 _default_batching = True

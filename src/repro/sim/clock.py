@@ -38,49 +38,10 @@ The wake-up contract (see ``PERFORMANCE.md`` for the full protocol):
 * A link must be registered on the same clock as its sink: the link's
   non-idleness is what keeps the sink ticking until the flit is consumed.
 
-Next-action tick gating
------------------------
-
-Idle-skip is all-or-nothing per clock: a single busy component keeps every
-sibling ticking every cycle.  Tick gating refines the same contract to the
-component and to *future* cycles: a component may override
-:meth:`ClockedComponent.next_action_cycle` to report the earliest future
-cycle at which its tick/post_tick could change observable state, and the
-clock skips it — and, when every component's horizon lies beyond the next
-boundary, skips whole edges by scheduling directly at the earliest horizon.
-The rules that make gating a pure optimization (byte-identical results):
-
-* ``next_action_cycle(cycle)`` must be **pure** (no attribute writes) and
-  may **under-estimate** (an early tick is an observable no-op by contract)
-  but never over-estimate.  Returning ``cycle + 1`` is always sound.
-* Any stimulus that changes what a tick would do must reach the component's
-  ``notify_active()`` — the same wake hooks idle-skip relies on — which
-  cancels the standing gate before waking the clock.  A standing gate is
-  therefore trusted without recomputation: state feeding a pure horizon can
-  only change through the component's own tick or through a notify.
-* A horizon at or beyond :data:`~repro.sim.batching.FAR_FUTURE` is an
-  idleness claim ("this tick never changes state again absent stimulus");
-  a clock whose components are all idle or FAR-gated goes to sleep without
-  leaving a never-popping event in the heap.
-* Gating changes *which* edges execute, never what an executed edge does:
-  within a timestamp, a component whose gate is cancelled after the tick
-  loop passed it behaves exactly like the ungated component whose tick had
-  already run and observed the pre-stimulus state (creation-order
-  priorities make both see stimulus strictly after).
-
-TDMA frame macro-stepping falls out of this layer: an NI kernel whose slot
-table is static and whose best-effort ready-set is empty reports the next
-*owned* slot as its horizon, so GT-only quiescent-BE phases execute one
-kernel event per slot-table revolution per reservation run (the burst
-machinery already packetizes whole owner runs; see
-``NIKernel.next_action_cycle`` and PERFORMANCE.md).
-
 Setting ``idle_skip=False`` on a clock (or globally via
 :func:`set_default_idle_skip` / the :func:`always_tick` context manager)
 restores the seed's unconditional rescheduling; benchmarks and the
-determinism tests use this to compare both modes.  Tick gating alone is
-disabled with :func:`set_default_tick_gating` / the :func:`ungated` context
-manager (always-tick mode implies gating off).
+determinism tests use this to compare both modes.
 """
 
 from __future__ import annotations
@@ -88,7 +49,6 @@ from __future__ import annotations
 import contextlib
 from typing import Iterator, List, Optional
 
-from repro.sim.batching import FAR_FUTURE
 from repro.sim.engine import SimulationError, Simulator
 
 #: Each clock's tick callbacks run at a distinct priority allocated in clock
@@ -102,21 +62,6 @@ _POST_TICK_PRIORITY_BASE = 1 << 20
 #: the always-tick baseline).
 _DEFAULT_IDLE_SKIP = True
 
-#: Module-wide default for ``Clock.tick_gating`` (the next-action layer).
-_DEFAULT_TICK_GATING = True
-
-#: Dense-recheck amortization span, in cycles.  A component whose
-#: ``next_action_cycle`` just answered "``cycle + 1``" (no skipping possible)
-#: is very likely to keep answering that while traffic stays dense, so the
-#: clock stops asking for this many cycles and treats the component as dense.
-#: This only ever *under*-gates — the component ticks instead of skipping,
-#: which is an observable no-op by contract — so results are unaffected; it
-#: bounds the horizon-query overhead in the saturated regime where there is
-#: nothing to skip.  Real standing gates (horizon beyond the next boundary)
-#: never set a recheck window, so their expiry always recomputes eagerly and
-#: TDMA macro-stepping is never delayed.
-_DENSE_RECHECK_SPAN = 32
-
 
 def set_default_idle_skip(enabled: bool) -> bool:
     """Set the default ``idle_skip`` for newly created clocks.
@@ -129,24 +74,6 @@ def set_default_idle_skip(enabled: bool) -> bool:
     return previous
 
 
-def set_default_tick_gating(enabled: bool) -> bool:
-    """Set the default ``tick_gating`` for newly created clocks.
-
-    Returns the previous default so callers can restore it.  Gating is
-    subordinate to idle-skip: an ``idle_skip=False`` (always-tick) clock
-    never gates regardless of this default, preserving the seed reference.
-    """
-    global _DEFAULT_TICK_GATING
-    previous = _DEFAULT_TICK_GATING
-    _DEFAULT_TICK_GATING = bool(enabled)
-    return previous
-
-
-def gating_default() -> bool:
-    """The current default for ``Clock.tick_gating``."""
-    return _DEFAULT_TICK_GATING
-
-
 @contextlib.contextmanager
 def always_tick() -> Iterator[None]:
     """Context manager: clocks built inside it use seed (always-tick) mode."""
@@ -157,44 +84,18 @@ def always_tick() -> Iterator[None]:
         set_default_idle_skip(previous)
 
 
-@contextlib.contextmanager
-def ungated() -> Iterator[None]:
-    """Context manager: clocks built inside it skip idle clocks but never
-    gate individual components (PR 9 activity-driven semantics)."""
-    previous = set_default_tick_gating(False)
-    try:
-        yield
-    finally:
-        set_default_tick_gating(previous)
-
-
 class ClockedComponent:
     """Base class for anything driven by a :class:`Clock`.
 
     Subclasses override :meth:`tick` (compute phase) and optionally
     :meth:`post_tick` (commit phase).  Components that can be quiescent
     additionally override :meth:`is_idle` and arrange for every stimulus
-    that can end the quiescence to call :meth:`notify_active`.  Components
-    whose next state change is *predictable* further override
-    :meth:`next_action_cycle` to let gating clocks skip them.
+    that can end the quiescence to call :meth:`notify_active`.
     """
 
     #: Back-reference set by :meth:`Clock.add_component`; gives the component
     #: a wake handle without threading the clock through every constructor.
     _clock: Optional["Clock"] = None
-    #: Cycle before which this component's ticks are skipped by a gating
-    #: clock (0 = no standing gate).  Written by the clock from
-    #: :meth:`next_action_cycle` results and cleared by
-    #: :meth:`notify_active`; components never write it themselves.
-    _gate_until: int = 0
-    #: True when the concrete class overrides :meth:`next_action_cycle`
-    #: (cached by :meth:`Clock.add_component` so the per-edge horizon loop
-    #: never pays a method-resolution check).
-    _has_next_action: bool = False
-    #: Cycle until which the clock treats this component as dense without
-    #: re-querying :meth:`next_action_cycle` (see ``_DENSE_RECHECK_SPAN``).
-    #: Written only by the clock; under-gates, never over-gates.
-    _gate_recheck: int = 0
 
     def tick(self, cycle: int) -> None:  # pragma: no cover - interface default
         """Compute phase of the clock edge."""
@@ -211,31 +112,12 @@ class ClockedComponent:
         """
         return False
 
-    def next_action_cycle(self, cycle: int) -> int:
-        """Earliest future cycle at which tick/post_tick could change state.
-
-        Called by a gating clock after this component's edge at ``cycle``
-        (and only then); the returned horizon stands until the component
-        ticks again or a stimulus calls :meth:`notify_active`.  Must be
-        pure — no attribute writes — and may under-estimate but never
-        over-estimate; :data:`~repro.sim.batching.FAR_FUTURE` means "never,
-        absent stimulus" and counts as an idleness claim.  The default
-        (``cycle + 1``: no skipping) is always sound.
-        """
-        return cycle + 1
-
     def notify_active(self) -> None:
-        """Wake this component's clock (no-op when unclocked and awake).
-
-        Cancels any standing next-action gate first: stimulus invalidates
-        the prediction the gate was computed from.
-        """
-        # Inline the checks: stimulus arrives on hot paths (every word
-        # pushed, every flit sent) and the clock is usually awake.
-        if self._gate_until:
-            self._gate_until = 0
+        """Wake this component's clock (no-op when unclocked or awake)."""
+        # Inline the sleeping check: stimulus arrives on hot paths (every
+        # word pushed, every flit sent) and the clock is usually awake.
         clock = self._clock
-        if clock is not None and (clock._sleeping or clock._gated):
+        if clock is not None and clock._sleeping:
             clock.wake()
 
 
@@ -257,17 +139,10 @@ class Clock:
         When True (the default, see :func:`set_default_idle_skip`) the clock
         stops self-rescheduling while every component is idle and resumes on
         :meth:`wake`.  When False the clock reschedules unconditionally.
-    tick_gating:
-        When True (the default, see :func:`set_default_tick_gating`) the
-        clock additionally honours component next-action horizons: gated
-        components are skipped inside edges, and edges with no due
-        component are not scheduled at all.  Requires ``idle_skip``;
-        an always-tick clock never gates.
     """
 
     def __init__(self, sim: Simulator, frequency_mhz: float, name: str = "clk",
-                 phase_ps: int = 0, idle_skip: Optional[bool] = None,
-                 tick_gating: Optional[bool] = None) -> None:
+                 phase_ps: int = 0, idle_skip: Optional[bool] = None) -> None:
         if frequency_mhz <= 0:
             raise SimulationError(f"clock {name}: frequency must be positive")
         self.sim = sim
@@ -281,11 +156,6 @@ class Clock:
         self.phase_ps = int(phase_ps)
         self.idle_skip = (_DEFAULT_IDLE_SKIP if idle_skip is None
                           else bool(idle_skip))
-        self.tick_gating = (_DEFAULT_TICK_GATING if tick_gating is None
-                            else bool(tick_gating))
-        #: Effective gating mode: the next-action layer rides on idle-skip's
-        #: wake protocol, so always-tick clocks never gate.
-        self._gating = self.idle_skip and self.tick_gating
         #: Coincident edges of different clocks run earliest-created first;
         #: a clock receiving immediately visible cross-domain stimulus (the
         #: flit clock: credits, flushes, register writes) must therefore be
@@ -299,30 +169,6 @@ class Clock:
         self._started = False
         self._epoch = 0
         self._sleeping = False
-        #: True while the next scheduled edge lies beyond the next period
-        #: boundary (or, grouped, while this member's horizon does): a
-        #: notify must then wake the clock to pull the edge forward.
-        self._gated = False
-        #: Absolute time of the pending edge event (-1 = none).  A gating
-        #: clock may leave superseded events in the heap (wake pulls the
-        #: edge forward without cancellation); ``_edge`` executes only the
-        #: event matching this time, so stale events are no-ops.
-        self._next_edge_time = -1
-        #: Grouped members only: this member's next-action horizon in
-        #: cycles (0 = due every edge; FAR_FUTURE = parked).
-        self._gate_cycle = 0
-        #: Clock-level dense window: while ``cycle + 1`` lies inside it the
-        #: whole horizon pass is skipped and the next edge is unconditional.
-        #: Set by :meth:`_gate_horizon` whenever the pass concludes "next
-        #: edge anyway" — dense traffic keeps answering that, so stop
-        #: asking for a while.  Pure under-gating, results unaffected.
-        self._dense_recheck = 0
-        #: True while any component may hold a standing gate beyond the
-        #: next boundary.  Only :meth:`_gate_horizon` sets gates, so a pass
-        #: that ends with none lets the edge loops drop the per-component
-        #: gate check entirely (the flag may be stale-True after a notify
-        #: cancels a gate — that only costs the check, never correctness).
-        self._gates_standing = False
         #: Edges actually executed (telemetry for the perf harness).
         self.edges_executed = 0
         #: Number of times the clock went to sleep.
@@ -336,14 +182,11 @@ class Clock:
         """Register a component; tick order follows registration order."""
         self._components.append(component)
         component._clock = self
-        component._has_next_action = (
-            type(component).next_action_cycle
-            is not ClockedComponent.next_action_cycle)
         if type(component).post_tick is not ClockedComponent.post_tick:
             self._post_tick_components.append(component)
-        # A component added to a sleeping or gated clock must get a chance
-        # to tick; the next edge re-evaluates idleness and horizons.
-        if self._sleeping or self._gated:
+        # A component added to a sleeping clock must get a chance to tick;
+        # the next edge re-evaluates idleness and re-sleeps if warranted.
+        if self._sleeping:
             self.wake()
 
     def remove_component(self, component: ClockedComponent) -> None:
@@ -371,11 +214,6 @@ class Clock:
         return self._sleeping
 
     @property
-    def gated(self) -> bool:
-        """True while the next edge is deferred beyond the next boundary."""
-        return self._gated
-
-    @property
     def bandwidth_gbit_s(self) -> float:
         """Raw bandwidth of a 32-bit link clocked by this clock, in Gbit/s."""
         return 32.0 * self.frequency_mhz / 1000.0
@@ -401,12 +239,11 @@ class Clock:
         self._started = True
         self._epoch = max(self.sim.now, self.phase_ps)
         self._sleeping = False
-        self._next_edge_time = self._epoch
         self.sim.schedule_at(self._epoch, self._edge,
                              priority=self._tick_priority)
 
     def wake(self) -> None:
-        """Resume an idle-skipped (or gate-deferred) clock.
+        """Resume an idle-skipped clock.
 
         The next edge fires at the first period boundary strictly after the
         current simulation time — the first edge that can observe the
@@ -414,173 +251,44 @@ class Clock:
         clock-creation order, a clock created before its stimulators would
         have ticked before the stimulus at the wake timestamp anyway, so
         this reproduces the always-tick schedule exactly.  No-op when the
-        clock is running densely.
+        clock is not sleeping.
         """
-        if not (self._sleeping or self._gated):
+        if not self._sleeping:
             return
         self._sleeping = False
-        self._gated = False
-        self._gate_cycle = 0
         if self._group is not None:
             self._group._wake(self.sim.now)
             return
         index = (self.sim.now - self._epoch) // self.period_ps + 1
-        target = self.edge_time(index)
-        if self._gating:
-            if self._next_edge_time != -1 and self._next_edge_time <= target:
-                # The pending edge already fires at or before the boundary
-                # the stimulus needs; pulling it forward would
-                # double-schedule.
-                return
-            self._next_edge_time = target
-        self.sim._push(target, self._tick_priority, self._edge)
+        self.sim._push(self.edge_time(index), self._tick_priority, self._edge)
 
     def _edge(self) -> None:
-        now = self.sim.now
-        if self._gating:
-            if now != self._next_edge_time:
-                return  # superseded by a wake that pulled the edge forward
-            self._next_edge_time = -1
-            self._gated = False
-            # Derive the cycle index from time so TDMA slot alignment
-            # survives skipped edges (an NI slot is `cycle % num_slots`).
-            cycle = (now - self._epoch) // self.period_ps
-            self._cycle = cycle
-            self.edges_executed += 1
-            if self._gates_standing:
-                for component in self._components:
-                    if component._gate_until > cycle:
-                        continue
-                    component.tick(cycle)
-            else:
-                for component in self._components:
-                    component.tick(cycle)
-        else:
-            cycle = (now - self._epoch) // self.period_ps
-            self._cycle = cycle
-            self.edges_executed += 1
-            for component in self._components:
-                component.tick(cycle)
+        # Derive the cycle index from time so TDMA slot alignment survives
+        # skipped edges (an NI slot is `cycle % num_slots`).
+        cycle = (self.sim.now - self._epoch) // self.period_ps
+        self._cycle = cycle
+        self.edges_executed += 1
+        for component in self._components:
+            component.tick(cycle)
         if self._post_tick_components:
-            self.sim._push(now, self._commit_priority, self._commit_edge)
+            self.sim._push(self.sim.now, self._commit_priority,
+                           self._commit_edge)
         else:
             # No component commits anything: skip the commit event entirely.
             self._after_edge()
 
     def _commit_edge(self) -> None:
         cycle = self._cycle
-        if self._gating and self._gates_standing:
-            for component in self._post_tick_components:
-                if component._gate_until > cycle:
-                    continue
-                component.post_tick(cycle)
-        else:
-            for component in self._post_tick_components:
-                component.post_tick(cycle)
+        for component in self._post_tick_components:
+            component.post_tick(cycle)
         self._after_edge()
-
-    def _dense_window_active(self, cycle1: int) -> bool:
-        """Inside a dense window with at least one component still busy.
-
-        The scan (early-exit, the same test ungated idle-skip runs every
-        edge) closes the window the moment everything reports idle, so
-        quiescence — and the sleep transition tests and workloads rely
-        on — is never delayed by the amortization.
-        """
-        if self._dense_recheck <= cycle1:
-            return False
-        for component in self._components:
-            if not component.is_idle():
-                return True
-        self._dense_recheck = 0
-        return False
-
-    def _gate_horizon(self, cycle: int) -> int:
-        """Min next-action horizon over all components after edge ``cycle``.
-
-        Standing gates beyond ``cycle + 1`` are trusted without
-        recomputation: the state a pure horizon was computed from can only
-        change through the component's own tick (which expires the gate) or
-        through a notify (which cancels it).  Components without a
-        ``next_action_cycle`` override contribute ``cycle + 1`` while
-        non-idle and nothing while idle — the idle-skip rules, per
-        component.  A FAR_FUTURE result means every component is idle or
-        FAR-gated: the clock can sleep.
-
-        A component whose horizon just came back as exactly ``cycle + 1``
-        gets a ``_gate_recheck`` window: for the next
-        ``_DENSE_RECHECK_SPAN`` cycles it is assumed dense without another
-        query.  This only under-gates (extra ticks are no-ops by the
-        idle/horizon contract), and only the "nothing to skip" answer is
-        cached — real gates expire into an immediate requery.
-        """
-        cycle1 = cycle + 1
-        horizon = FAR_FUTURE
-        standing = False
-        for component in self._components:
-            gate = component._gate_until
-            if gate > cycle1:
-                standing = True
-                if gate < horizon:
-                    horizon = gate
-                continue
-            if component._has_next_action:
-                if component._gate_recheck > cycle1:
-                    horizon = cycle1
-                    continue
-                gate = component.next_action_cycle(cycle)
-                component._gate_until = gate
-                if gate == cycle1:
-                    component._gate_recheck = cycle1 + _DENSE_RECHECK_SPAN
-                    horizon = cycle1
-                else:
-                    standing = True
-                    if gate < horizon:
-                        horizon = gate
-            elif not component.is_idle():
-                horizon = cycle1
-        self._gates_standing = standing
-        if horizon == cycle1:
-            # The pass concluded "tick the next boundary anyway": open a
-            # dense window so the callers skip the whole pass until it
-            # expires.  Components with standing gates keep their tick
-            # skips (the edge loop still honours ``_gate_until``); whole
-            # edges only ever skip when *every* component gates, and that
-            # state never opens a window — macro-stepping is not delayed.
-            self._dense_recheck = cycle1 + _DENSE_RECHECK_SPAN
-        return horizon
 
     def _after_edge(self) -> None:
         """Reschedule the next edge — or go to sleep if everything is idle.
 
-        Runs after the commit phase so idleness and next-action horizons
-        reflect post_tick state (e.g. a link that just staged a flit is not
-        idle).
+        Runs after the commit phase so idleness reflects post_tick state
+        (e.g. a link that just staged a flit is not idle).
         """
-        if self._gating:
-            cycle = self._cycle
-            cycle1 = cycle + 1
-            if self._dense_window_active(cycle1):
-                # Inside a dense window: the next edge is unconditional,
-                # skip the horizon pass (see ``_gate_horizon``).
-                self._gated = False
-                time = self.edge_time(cycle1)
-                self._next_edge_time = time
-                self.sim._push(time, self._tick_priority, self._edge)
-                return
-            horizon = self._gate_horizon(cycle)
-            if horizon >= FAR_FUTURE:
-                # All idle or FAR-gated: sleep without scheduling anything
-                # (a far-future heap event would never pop and only bloat
-                # the queue).  notify_active restarts the clock.
-                self._sleeping = True
-                self.sleep_count += 1
-                return
-            self._gated = horizon > cycle + 1
-            time = self.edge_time(horizon)
-            self._next_edge_time = time
-            self.sim._push(time, self._tick_priority, self._edge)
-            return
         if self.idle_skip:
             for component in self._components:
                 if not component.is_idle():
@@ -593,8 +301,7 @@ class Clock:
                        self._edge)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        state = "sleeping" if self._sleeping else (
-            "gated" if self._gated else "running")
+        state = "sleeping" if self._sleeping else "running"
         return f"Clock({self.name}, {self.frequency_mhz} MHz, {state})"
 
 
@@ -611,14 +318,12 @@ class ClockGroup:
     contiguity when forming groups.)
 
     Per-member semantics are preserved: each member keeps its own
-    ``idle_skip`` / ``tick_gating`` flags, ``sleeping`` state,
-    ``sleep_count`` and ``edges_executed`` telemetry; sleeping members are
-    skipped inside the group event (their edges neither execute nor count,
-    as when unfused), and gating members additionally skip edges their
-    next-action horizon (``_gate_cycle``) lies beyond.  The group schedules
-    its next event at the earliest awake member's horizon; any member's
-    :meth:`Clock.wake` pulls it back to the next period boundary — the same
-    boundary an unfused wake would have used.
+    ``idle_skip`` flag, ``sleeping`` state, ``sleep_count`` and
+    ``edges_executed`` telemetry; sleeping members are skipped inside the
+    group event (their edges neither execute nor count, as when unfused).
+    The group stops rescheduling only when *every* member sleeps, and any
+    member's :meth:`Clock.wake` resumes it on the next period boundary —
+    the same boundary an unfused wake would have used.
 
     The one observable difference is telemetry-only: executed-event counts
     shrink (one event per timestamp instead of one per awake member), which
@@ -655,10 +360,8 @@ class ClockGroup:
         self._commit_priority = first._commit_priority
         self._epoch = 0
         self._started = False
-        #: Time of the pending (scheduled, not yet fired) group edge, or -1.
-        #: As with :attr:`Clock._next_edge_time`, superseded events stay in
-        #: the heap and no-op on execution; only the event matching this
-        #: exact time runs.
+        #: Time of the pending (scheduled, not yet fired) group edge; wake
+        #: deduplication checks it so at most one edge event is in flight.
         self._next_scheduled = -1
         for member in members:
             member._group = self
@@ -678,7 +381,7 @@ class ClockGroup:
         self.sim._push(epoch, self._tick_priority, self._edge)
 
     def _schedule(self, time: int) -> None:
-        if self._next_scheduled != -1 and self._next_scheduled <= time:
+        if self._next_scheduled >= time:
             return
         self._next_scheduled = time
         self.sim._push(time, self._tick_priority, self._edge)
@@ -689,30 +392,20 @@ class ClockGroup:
         self._schedule(self._epoch + index * self.period_ps)
 
     def _edge(self) -> None:
-        now = self.sim.now
-        if now != self._next_scheduled:
-            return  # superseded by a wake that pulled the edge forward
-        self._next_scheduled = -1
-        cycle = (now - self._epoch) // self.period_ps
+        cycle = (self.sim.now - self._epoch) // self.period_ps
         commit = False
         for member in self.members:
-            if member._sleeping or member._gate_cycle > cycle:
+            if member._sleeping:
                 continue
             member._cycle = cycle
-            member._gated = False
             member.edges_executed += 1
-            if member._gating and member._gates_standing:
-                for component in member._components:
-                    if component._gate_until > cycle:
-                        continue
-                    component.tick(cycle)
-            else:
-                for component in member._components:
-                    component.tick(cycle)
+            for component in member._components:
+                component.tick(cycle)
             if member._post_tick_components:
                 commit = True
         if commit:
-            self.sim._push(now, self._commit_priority, self._commit_edge)
+            self.sim._push(self.sim.now, self._commit_priority,
+                           self._commit_edge)
         else:
             self._after_edge(cycle)
 
@@ -723,54 +416,17 @@ class ClockGroup:
             # (a member woken mid-timestamp by another's stimulus has not
             # ticked and must not commit).
             if member._cycle == cycle and member._post_tick_components:
-                if member._gating and member._gates_standing:
-                    for component in member._post_tick_components:
-                        if component._gate_until > cycle:
-                            continue
-                        component.post_tick(cycle)
-                else:
-                    for component in member._post_tick_components:
-                        component.post_tick(cycle)
+                for component in member._post_tick_components:
+                    component.post_tick(cycle)
         self._after_edge(cycle)
 
     def _after_edge(self, cycle: int) -> None:
-        """Per-member horizon/idleness evaluation, then one reschedule."""
-        cycle1 = cycle + 1
-        group_horizon = FAR_FUTURE
+        """Per-member idleness evaluation, then one reschedule for all."""
+        awake = False
         for member in self.members:
             if member._sleeping:
                 continue
-            if member._cycle != cycle and member._gate_cycle <= cycle:
-                # Woken mid-timestamp without ticking: the next edge is
-                # unconditional, exactly as an unfused wake schedules.
-                if cycle1 < group_horizon:
-                    group_horizon = cycle1
-                continue
-            if member._gate_cycle > cycle:
-                # Standing member horizon (this edge skipped the member).
-                if member._gate_cycle < group_horizon:
-                    group_horizon = member._gate_cycle
-                continue
-            if member._gating:
-                if member._dense_window_active(cycle1):
-                    # Inside the member's dense window (see
-                    # ``_gate_horizon``): next edge unconditional.
-                    member._gate_cycle = cycle1
-                    member._gated = False
-                    group_horizon = cycle1
-                    continue
-                horizon = member._gate_horizon(cycle)
-                if horizon >= FAR_FUTURE:
-                    member._sleeping = True
-                    member._gate_cycle = 0
-                    member.sleep_count += 1
-                    continue
-                member._gate_cycle = horizon
-                member._gated = horizon > cycle1
-                if horizon < group_horizon:
-                    group_horizon = horizon
-                continue
-            if member.idle_skip:
+            if member.idle_skip and member._cycle == cycle:
                 for component in member._components:
                     if not component.is_idle():
                         break
@@ -778,10 +434,11 @@ class ClockGroup:
                     member._sleeping = True
                     member.sleep_count += 1
                     continue
-            if cycle1 < group_horizon:
-                group_horizon = cycle1
-        if group_horizon < FAR_FUTURE:
-            self._schedule(self._epoch + group_horizon * self.period_ps)
+            # Awake — including members woken mid-timestamp, whose next
+            # edge is unconditional exactly as an unfused wake schedules.
+            awake = True
+        if awake:
+            self._schedule(self.sim.now + self.period_ps)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         names = ", ".join(m.name for m in self.members)

@@ -83,11 +83,6 @@ class Simulator:
         self._executed_events: int = 0
         self._cancelled_count: int = 0
         self._clock_priorities: int = 0
-        #: High-water mark of the heap size (telemetry).  Gating clocks may
-        #: leave superseded edge events in the heap instead of cancelling
-        #: them (see ``Clock._next_edge_time``); this makes the cost of that
-        #: design observable in the perf harness instead of guessed at.
-        self.peak_queue_len: int = 0
         #: Optional observer called as ``hook(time, priority, seq)`` right
         #: before each event executes; used by determinism tests to compare
         #: event-execution order between runs.  Leave ``None`` in production.
@@ -136,8 +131,6 @@ class Simulator:
         heapq.heappush(self._queue, (time, priority, self._seq, callback,
                                      handle))
         self._seq += 1
-        if len(self._queue) > self.peak_queue_len:
-            self.peak_queue_len = len(self._queue)
         return handle
 
     def schedule(self, delay: int, callback: Callable[[], None],
@@ -156,8 +149,6 @@ class Simulator:
         """
         heapq.heappush(self._queue, (time, priority, self._seq, callback, None))
         self._seq += 1
-        if len(self._queue) > self.peak_queue_len:
-            self.peak_queue_len = len(self._queue)
 
     # -------------------------------------------------------- cancellation
     def _note_cancel(self) -> None:

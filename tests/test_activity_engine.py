@@ -12,7 +12,6 @@ from repro.sim.clock import (
     always_tick,
     run_cycles,
     set_default_idle_skip,
-    ungated,
 )
 from repro.sim.engine import SimulationError, Simulator
 
@@ -441,30 +440,11 @@ class TestBurstWakeProtocol:
         assert sim.pending_events() == 0
 
     def test_broken_idle_report_would_strand_the_burst(self):
-        """Negative control: prove the test pins Link.is_idle, not luck.
-
-        Runs ungated: this pins the *idle-skip* wake protocol, where the
-        clock's only activity signal is ``is_idle``.  Under tick gating the
-        link's truthful ``next_action_cycle`` (dense while flits are staged)
-        keeps the clock awake even with a lying ``is_idle`` — which the next
-        test pins as the layered-contract behavior.
-        """
-        with ungated():
-            sim, clock, link, consumer, flits = self._build(4)
+        """Negative control: prove the test pins Link.is_idle, not luck."""
+        sim, clock, link, consumer, flits = self._build(4)
         link.is_idle = lambda: True  # simulate the bug batching could add
         clock.start()
         sim.run(until=sim.now + 40 * clock.period_ps)
         # The clock slept mid-burst: flits stranded inside the link.
         assert len(consumer.received) < len(flits)
         assert link.occupancy > 0
-
-    def test_gating_horizon_rescues_a_broken_idle_report(self):
-        """With gating on, the link's dense next-action horizon keeps the
-        clock awake through the burst even if ``is_idle`` lies."""
-        sim, clock, link, consumer, flits = self._build(4)
-        assert clock.tick_gating
-        link.is_idle = lambda: True
-        clock.start()
-        sim.run(until=sim.now + 40 * clock.period_ps)
-        assert consumer.received == flits
-        assert link.occupancy == 0

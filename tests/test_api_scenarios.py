@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.analysis.deadlock import DeadlockWarning
 from repro.api import SystemBuilder, scenarios
 from repro.core.shells.multiconnection import MultiConnectionShell
 
@@ -73,8 +74,9 @@ class TestRegistry:
 
 class TestNewScenarios:
     def test_ring_traffic_completes_over_multiple_hops(self):
-        system = scenarios.build("ring", num_pairs=3, hops=3, gt=False,
-                                 max_transactions=6)
+        with pytest.warns(DeadlockWarning, match="cycle"):
+            system = scenarios.build("ring", num_pairs=3, hops=3, gt=False,
+                                     max_transactions=6)
         assert system.spec.topology == "ring"
         assert system.noc.hop_count("m0", "mem0") == 4  # 3 hops + target
         cycles = system.run_until_idle(max_flit_cycles=60000)

@@ -1,17 +1,19 @@
-"""Batched-vs-unbatched golden equivalence suite.
+"""Engine golden equivalence suite.
 
 The batched flit pipeline (burst delivery on links, per-burst GT forwarding
 in routers, word-run receive in NI kernels — see PERFORMANCE.md,
-"Burst-granularity simulation") is only legal because it never changes
-results.  This suite is the gate:
+"Burst-granularity simulation") and the activity-driven clocks (idle-skip
+plus ClockGroup fusion) are only legal because they never change results.
+This suite is the gate:
 
 * a golden sweep over the **full scenario registry** — every registered
   scenario, including the fault scenarios (``link_failure_reroute``,
   ``transient_storm``: poison windows and fault events must truncate bursts)
   and the DRAM scenarios (``dram_scheduler_mix``: bank stalls back-pressure
   the BE path) — asserting byte-identical result fingerprints between the
-  batched pipeline and the per-flit reference (:func:`repro.sim.batching.
-  unbatched`);
+  default engine and two references: the per-flit pipeline
+  (:func:`repro.sim.batching.unbatched`) and the seed's always-tick clocks
+  (:func:`repro.sim.clock.always_tick`);
 * a hypothesis property test sweeping the burst cap
   (:func:`repro.sim.batching.capped_bursts`), which moves every burst
   boundary around at random: no placement may change the delivered word
@@ -21,14 +23,17 @@ A scenario that is cheap to run twice sits in the fast tier; the rest carry
 ``slow`` and run in ``make test-all`` / the full tier.
 """
 
+import contextlib
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.deadlock import DeadlockWarning
 from repro.api import scenarios
 from repro.sim.batching import batching_default, capped_bursts, unbatched
+from repro.sim.clock import always_tick
 
 
 def normalize(obj):
@@ -47,9 +52,13 @@ def run_fingerprint(name: str, cycles: int) -> dict:
 
     The digest extends ``System.fingerprint()`` with the actual memory
     contents: byte identity must cover the delivered *words*, not just the
-    counters that summarize them.
+    counters that summarize them.  Scenarios tagged ``negative`` must
+    warn about their channel-dependency cycle at build time.
     """
-    system = scenarios.build(name)
+    expect_cycle = "negative" in scenarios.get(name).tags
+    with (pytest.warns(DeadlockWarning, match="cycle") if expect_cycle
+          else contextlib.nullcontext()):
+        system = scenarios.build(name)
     system.run_flit_cycles(cycles)
     digest = system.fingerprint()
     digest["memory_words"] = {
@@ -58,7 +67,8 @@ def run_fingerprint(name: str, cycles: int) -> dict:
     return normalize(digest)
 
 
-# Cheap enough to run twice per test-tier run; everything else is slow.
+# Cheap enough to run against both references per test-tier run;
+# everything else is slow.
 # link_failure_reroute and dram_scheduler_mix stay in the fast tier on
 # purpose: fault barriers and DRAM back-pressure are the burst-truncation
 # paths most worth exercising on every `make check`.
@@ -72,7 +82,8 @@ _FAST = {
 }
 
 #: Flit cycles per scenario (default 300): long enough for steady state,
-#: short enough to run the whole registry twice in the full tier.
+#: short enough to run the whole registry against both references in the
+#: full tier.
 _CYCLES = {"saturated_grid": 200, "random_system": 200}
 
 
@@ -90,6 +101,17 @@ def test_batched_matches_per_flit_reference(name):
     with unbatched():
         reference = run_fingerprint(name, cycles)
     assert batched == reference
+
+
+@pytest.mark.parametrize("name", _params())
+def test_activity_engine_matches_always_tick_reference(name):
+    """Idle-skip and ClockGroup fusion change which edges execute, never
+    what an executed edge does: the seed's always-tick clocks must agree."""
+    cycles = _CYCLES.get(name, 300)
+    activity = run_fingerprint(name, cycles)
+    with always_tick():
+        reference = run_fingerprint(name, cycles)
+    assert activity == reference
 
 
 # ---------------------------------------------------------------------------

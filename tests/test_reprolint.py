@@ -131,25 +131,6 @@ FIXTURES = [
         """,
     ),
     (
-        "gate-next-action-consistent",
-        """
-        class Gated:
-            def next_action_cycle(self, cycle):
-                self.queries += 1
-                return cycle + 4
-        """,
-        """
-        class Gated:
-            def is_idle(self):
-                return not self.pending
-
-            def next_action_cycle(self, cycle):
-                if not self.pending:
-                    return cycle + 4
-                return cycle + 1
-        """,
-    ),
-    (
         "wake-slot-version",
         """
         class Table:
