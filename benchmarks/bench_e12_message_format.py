@@ -9,7 +9,7 @@ on the link side.
 
 import pytest
 
-from benchmarks.helpers import print_table, run_once
+from benchmarks.helpers import print_table
 from repro.protocol.messages import RequestMessage, ResponseMessage
 from repro.protocol.transactions import Command
 
@@ -38,8 +38,8 @@ def format_rows():
     return rows
 
 
-def test_e12_message_format_overhead(benchmark):
-    rows = run_once(benchmark, format_rows)
+def test_e12_message_format_overhead():
+    rows = format_rows()
     print_table("E12: sequentialized message sizes (Figure 7 formats)", rows)
     for row in rows:
         burst = row["burst_words"]
@@ -66,7 +66,7 @@ def serialization_throughput(burst=16):
     return round_trip
 
 
-def test_e12_serialization_round_trip_speed(benchmark):
+def test_e12_serialization_round_trip_speed():
     round_trip = serialization_throughput()
-    result = benchmark(round_trip)
+    result = round_trip()
     assert result.write_data == list(range(16))

@@ -10,9 +10,7 @@ shared link itself saturates.
 
 import math
 
-import pytest
-
-from benchmarks.helpers import print_table, run_once
+from benchmarks.helpers import print_table
 from repro.baselines.bus import SharedBus
 from repro.config.connection import (
     ChannelEndpointRef,
@@ -117,8 +115,8 @@ def scaling_rows():
     return rows
 
 
-def test_e13_noc_scales_better_than_a_bus(benchmark):
-    rows = run_once(benchmark, scaling_rows)
+def test_e13_noc_scales_better_than_a_bus():
+    rows = scaling_rows()
     print_table("E13: shared bus vs Aethereal NoC under growing IP count",
                 rows)
     bus = [row["bus_mean_latency"] for row in rows]

@@ -7,11 +7,9 @@ the NoC grows (mesh size and NI count), which is the turnaround a designer
 iterating on an instance experiences.
 """
 
-import pytest
-
-from benchmarks.helpers import print_table, run_once
+from benchmarks.helpers import print_table
 from repro.design.generator import build_system
-from repro.design.spec import NISpec, NoCSpec, PortSpec, reference_ni_spec, reference_noc_spec
+from repro.design.spec import NoCSpec, reference_ni_spec, reference_noc_spec
 from repro.design.xml_io import from_xml, to_xml
 
 
@@ -45,16 +43,15 @@ def instantiation_rows():
     return rows
 
 
-def test_e14_xml_round_trip_and_generation(benchmark):
-    rows = run_once(benchmark, instantiation_rows)
+def test_e14_xml_round_trip_and_generation():
+    rows = instantiation_rows()
     print_table("E14: XML-driven instance generation", rows)
     assert all(row["round_trip_ok"] for row in rows)
     assert rows[-1]["routers"] == 9
     assert rows[-1]["channels_total"] == 9 * 8
 
 
-def test_e14_generation_speed_of_reference_noc(benchmark):
-    """Time to build the runnable reference system from its spec."""
-    spec = reference_noc_spec()
-    system = benchmark(build_system, spec)
+def test_e14_generation_speed_of_reference_noc():
+    """The runnable reference system builds from its spec."""
+    system = build_system(reference_noc_spec())
     assert set(system.nis) == {"ni0", "ni1"}

@@ -8,7 +8,7 @@ depth (the dominant cost, as the paper argues for custom FIFOs).
 
 import pytest
 
-from benchmarks.helpers import print_table, run_once
+from benchmarks.helpers import print_table
 from repro.design.area import (
     AreaModel,
     REFERENCE_KERNEL_AREA_MM2,
@@ -44,8 +44,8 @@ def queue_scaling_table():
     return rows
 
 
-def test_e1_reference_area_table(benchmark):
-    rows = run_once(benchmark, area_table)
+def test_e1_reference_area_table():
+    rows = area_table()
     print_table("E1: NI area, paper vs model (mm^2, 0.13 um)", rows)
     by_name = {row["component"]: row for row in rows}
     assert by_name["kernel"]["model_mm2"] == pytest.approx(
@@ -54,8 +54,8 @@ def test_e1_reference_area_table(benchmark):
         REFERENCE_TOTAL_AREA_MM2, rel=0.01)
 
 
-def test_e1_area_scaling_with_queue_depth(benchmark):
-    rows = run_once(benchmark, queue_scaling_table)
+def test_e1_area_scaling_with_queue_depth():
+    rows = queue_scaling_table()
     print_table("E1b: kernel area vs queue depth", rows)
     kernels = [row["kernel_mm2"] for row in rows]
     assert kernels == sorted(kernels)

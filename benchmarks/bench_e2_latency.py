@@ -7,22 +7,21 @@ traversal, and compares the remaining NI-added overhead against the paper's
 per-stage breakdown.
 """
 
-import pytest
-
-from benchmarks.helpers import print_table, run_once
+from benchmarks.helpers import print_table
+from repro.api import scenarios
 from repro.design.timing import LatencyModel
 from repro.network.packet import CYCLES_PER_FLIT
 from repro.protocol.transactions import Transaction
-from repro.testbench import build_point_to_point
 
 
 def measure_overhead():
-    tb = build_point_to_point(max_transactions=0)
-    tb.master.issue(Transaction.write(0x0, [1], posted=True))
-    tb.run_flit_cycles(300)
-    assert tb.memory.memory.writes == 1
-    hops = tb.noc.hop_count(tb.master_ni, tb.slave_ni)
-    recorder = tb.system.kernel(tb.slave_ni).stats.latencies[
+    system = scenarios.build("point_to_point", max_transactions=0)
+    master, memory = system.master("master"), system.memory("memory")
+    master.issue(Transaction.write(0x0, [1], posted=True))
+    system.run_flit_cycles(300)
+    assert memory.memory.writes == 1
+    hops = system.noc.hop_count(master.ni, memory.ni)
+    recorder = system.kernel(memory.ni).stats.latencies[
         "packet_network_latency"]
     network_flit_cycles = recorder.maximum
     # The packet spends (hops + 1) flit cycles on links/routers; the rest is
@@ -39,8 +38,8 @@ def measure_overhead():
     return rows, kernel_overhead_words, model
 
 
-def test_e2_ni_latency_overhead(benchmark):
-    rows, overhead, model = run_once(benchmark, measure_overhead)
+def test_e2_ni_latency_overhead():
+    rows, overhead, model = measure_overhead()
     print_table("E2: NI latency overhead breakdown (cycles @ 500 MHz)", rows)
     # The measured kernel-side overhead must stay within the paper's 4-10
     # cycle envelope (the shell stages are modeled analytically).
@@ -48,15 +47,16 @@ def test_e2_ni_latency_overhead(benchmark):
 
 
 def round_trip_latency():
-    tb = build_point_to_point(max_transactions=0)
-    tb.master.issue(Transaction.write(0x10, [1, 2, 3, 4]))
-    tb.run_until_done()
-    txn = tb.master.completed[0]
+    system = scenarios.build("point_to_point", max_transactions=0)
+    master = system.master("master")
+    master.issue(Transaction.write(0x10, [1, 2, 3, 4]))
+    system.run_until_idle(20000)
+    txn = master.completed[0]
     return txn.latency_cycles
 
 
-def test_e2_acknowledged_write_round_trip(benchmark):
-    latency = run_once(benchmark, round_trip_latency)
+def test_e2_acknowledged_write_round_trip():
+    latency = round_trip_latency()
     print_table("E2b: acknowledged 4-word write round trip",
                 [{"metric": "round-trip latency (port cycles @ 500 MHz)",
                   "value": latency}])

@@ -9,28 +9,28 @@ analytic bounds.
 
 import math
 
-import pytest
-
-from benchmarks.helpers import print_table, run_once
+from benchmarks.helpers import print_table
 from repro.analysis.guarantees import GTGuarantees
+from repro.api import scenarios
 from repro.ip.traffic import ConstantBitRateTraffic
-from repro.testbench import build_point_to_point
 
 
 def measure(slots):
-    tb = build_point_to_point(
-        gt=True, request_slots=slots, response_slots=slots,
+    system = scenarios.build(
+        "point_to_point", gt=True, request_slots=slots, response_slots=slots,
         pattern=ConstantBitRateTraffic(period_cycles=40, burst_words=2,
                                        posted=True),
         max_transactions=30)
-    tb.run_until_done(max_flit_cycles=8000)
-    recorder = tb.system.kernel(tb.slave_ni).stats.latencies[
+    system.run_until_idle(max_flit_cycles=8000)
+    master_ni = system.master("master").ni
+    slave_ni = system.memory("memory").ni
+    recorder = system.kernel(slave_ni).stats.latencies[
         "packet_network_latency"]
-    payload_hist = tb.system.kernel(tb.master_ni).stats.histogram(
+    payload_hist = system.kernel(master_ni).stats.histogram(
         "packet_payload_words")
     packet_flits = max(1, math.ceil((payload_hist.maximum + 1) / 3))
-    slot_pattern = tb.slot_assignment[(tb.master_ni, 0)]
-    hops = tb.noc.hop_count(tb.master_ni, tb.slave_ni)
+    slot_pattern = system.slot_assignment[(master_ni, 0)]
+    hops = system.noc.hop_count(master_ni, slave_ni)
     guarantees = GTGuarantees(slot_pattern=slot_pattern, num_slots=8,
                               hops=hops, packet_flits=packet_flits)
     samples = recorder.samples
@@ -52,8 +52,8 @@ def latency_rows():
     return [measure(slots) for slots in (1, 2, 4)]
 
 
-def test_e5_latency_and_jitter_bounds_hold(benchmark):
-    rows = run_once(benchmark, latency_rows)
+def test_e5_latency_and_jitter_bounds_hold():
+    rows = latency_rows()
     print_table("E5: GT latency/jitter, analytic bound vs measured "
                 "(flit cycles)", rows)
     assert all(row["within_bounds"] for row in rows)

@@ -6,7 +6,7 @@ Every benchmark regenerates one table/figure-equivalent of the paper
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, List, Sequence
 
 
 def format_value(value) -> str:
@@ -36,8 +36,3 @@ def print_table(title: str, rows: Sequence[Dict[str, object]]) -> None:
         print(" | ".join(format_value(row.get(col, "")).ljust(widths[col])
                          for col in columns))
 
-
-def run_once(benchmark, func, *args, **kwargs):
-    """Run a heavy simulation exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(func, args=args, kwargs=kwargs,
-                              rounds=1, iterations=1, warmup_rounds=0)

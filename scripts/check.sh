@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
-# One-command repo gate: fast test tier + examples smoke + quick perf smoke
-# + perf floors + BENCH_PERF.json staleness.
+# One-command repo gate: fast test tier + paper experiments (E1-E14) +
+# examples smoke + quick perf smoke + perf floors + BENCH_PERF.json staleness.
 #
 #   scripts/check.sh        (or: make check)
 #
-# Fails if any fast-tier test fails, if an example crashes, if the quick
-# benchmark cannot reproduce identical results across engine modes, if
-# idle_mesh.event_reduction drops below 10x in either the fresh quick run
-# or the tracked BENCH_PERF.json, or if engine/hot-path files changed
-# without BENCH_PERF.json being regenerated.
+# Fails if any fast-tier test or paper experiment fails, if an example
+# crashes, if the quick benchmark cannot reproduce identical results across
+# engine modes, if idle_mesh.event_reduction drops below 10x in either the
+# fresh quick run or the tracked BENCH_PERF.json, or if engine/hot-path
+# files changed without BENCH_PERF.json being regenerated.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,6 +21,11 @@ python -m repro.analysis.lint src/repro --baseline reprolint_baseline.json
 
 echo "== tier-1 tests (fast tier) =="
 python -m pytest -q -m "not slow"
+
+echo "== paper experiments (benchmarks/bench_e*.py) =="
+# The E1-E14 experiment benches are plain pytest modules; their bench_*
+# names keep them out of default collection, so they are named here.
+python -m pytest -q benchmarks/bench_e*.py
 
 echo "== examples smoke =="
 for example in examples/*.py; do
@@ -123,7 +128,7 @@ echo "== BENCH_PERF.json staleness =="
 # (spread vs contiguous) decides the burst shapes the batched pipeline can
 # form, which directly moves the saturated_* numbers; src/repro/sim covers
 # the batching primitives (sim/batching.py), idle-skip and clock fusion
-# (sim/clock.py) and the columnar stats layer (sim/stats.py);
+# (sim/clock.py) and the counters every hot path bumps (sim/stats.py);
 # src/repro/obs because the sampler's burst barrier shapes the batched
 # pipeline in observed runs (and must stay a no-op when no observers are
 # declared).
@@ -131,7 +136,7 @@ ENGINE_PATHS=(src/repro/sim src/repro/core src/repro/network src/repro/api
               src/repro/design src/repro/ip src/repro/mem src/repro/analysis
               src/repro/faults src/repro/config src/repro/protocol
               src/repro/baselines src/repro/obs
-              src/repro/testbench.py benchmarks/perf/run_perf.py)
+              benchmarks/perf/run_perf.py)
 
 # Meta-check: the array above is hand-maintained; fail loudly if a new
 # src/repro subpackage exists that it does not cover, so the staleness gate

@@ -1,8 +1,8 @@
-"""Setuptools entry point.
+"""Setuptools entry point: ``pip install -e .`` installs the ``repro``
+package from ``src/``.
 
-The project is fully described by ``pyproject.toml``; this file exists so the
-package can also be installed in environments whose tooling predates PEP 517
-editable installs (``pip install -e . --no-use-pep517``).
+Running from a checkout needs no install at all: ``PYTHONPATH=src`` (set by
+the Makefile and the repository-root ``conftest.py``) is enough.
 """
 
 from setuptools import find_packages, setup
@@ -16,5 +16,5 @@ setup(
     packages=find_packages(where="src"),
     # 3.10+: the hot-path packet/flit dataclasses use dataclass(slots=True).
     python_requires=">=3.10",
-    install_requires=["numpy", "networkx"],
+    install_requires=["networkx"],
 )

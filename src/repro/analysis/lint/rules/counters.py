@@ -6,7 +6,7 @@ a component captured at construction is never rebound, (b) hot
 tick-reachable code uses cached ``Counter`` objects (``self._ctr_x =
 stats.counter(...)`` once, then ``self._ctr_x.value += n``) rather than
 re-resolving string keys per cycle, (c) counter values are reset through
-the ``Counter``/``CounterColumn`` API, and (d) every ``send_burst`` call
+the ``Counter`` API, and (d) every ``send_burst`` call
 site sits behind a barrier-aware guard (PR 7's truncation invariants).
 """
 
@@ -114,7 +114,7 @@ class RawCounterResetRule(LintRule):
 
     rule_id = "ctr-raw-reset"
     title = "raw assignment to a counter's .value"
-    contract = "sim/stats.py: Counter/CounterColumn API"
+    contract = "sim/stats.py: Counter API"
 
     def check(self, module: ModuleUnderLint) -> Iterator[Violation]:
         for node in ast.walk(module.tree):
@@ -126,8 +126,8 @@ class RawCounterResetRule(LintRule):
                     continue
                 receiver = target.value
                 if isinstance(receiver, ast.Name) and receiver.id == "self":
-                    # A literal `self.value = ...` is the Counter/
-                    # CounterColumn API implementing itself.
+                    # A literal `self.value = ...` is the Counter API
+                    # implementing itself.
                     continue
                 names = " ".join(identifiers_in(receiver)).lower()
                 if "ctr" in names or "counter" in names:

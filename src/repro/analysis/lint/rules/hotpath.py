@@ -28,7 +28,7 @@ from repro.analysis.lint.framework import (
 SLOTS_REQUIRED: Dict[str, Tuple[str, ...]] = {
     "network/packet.py": ("*",),
     "sim/engine.py": ("Event",),
-    "sim/stats.py": ("WindowedRate", "CounterColumn"),
+    "sim/stats.py": ("WindowedRate",),
 }
 
 #: Modules whose tick()/post_tick() closures must stay allocation-free.

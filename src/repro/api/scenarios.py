@@ -12,8 +12,7 @@ scenario is a factory that declares a system through
     system.run_flit_cycles(1000)
 
 The four classic set-ups of the paper's experiments are registered
-(``point_to_point``, ``gt_be_mix``, ``narrowcast``, ``config_system``) —
-the legacy ``repro.testbench`` builders are thin wrappers over these —
+(``point_to_point``, ``gt_be_mix``, ``narrowcast``, ``config_system``),
 plus newer workloads: a ``ring`` topology pipeline, ``hotspot`` traffic
 into one shared memory (multi-connection shell), a seeded ``random_system``
 generator, the topology-gallery scenarios ``torus_neighbor``,
@@ -127,7 +126,7 @@ def describe() -> List[Tuple[str, str, Tuple[str, ...]]]:
 
 
 # ---------------------------------------------------------------------------
-# The four classic set-ups (the legacy testbench builders wrap these)
+# The four classic set-ups of the paper's experiments
 # ---------------------------------------------------------------------------
 @scenario("point_to_point",
           description="One master talking to one memory over a small mesh "

@@ -35,11 +35,9 @@ from repro.network.routing import (
     TableRouting,
     TorusDimensionOrdered,
     XYRouting,
-    compute_route,
     make_routing,
     register_routing,
     routing_names,
-    xy_route,
 )
 from repro.network.slot_table import RouterSlotTable, SlotTable, SlotTableError
 from repro.network.topology import (
@@ -83,7 +81,6 @@ __all__ = [
     "TorusDimensionOrdered",
     "WORD_BITS",
     "XYRouting",
-    "compute_route",
     "make_routing",
     "make_topology",
     "packet_to_flits",
@@ -91,5 +88,4 @@ __all__ = [
     "register_topology",
     "routing_names",
     "topology_names",
-    "xy_route",
 ]

@@ -29,7 +29,7 @@ from repro.network.packet import Flit
 from repro.network.slot_table import RouterSlotTable
 from repro.sim.clock import ClockedComponent
 from repro.sim.engine import Simulator
-from repro.sim.stats import CounterColumn, StatsRegistry
+from repro.sim.stats import StatsRegistry
 from repro.sim.trace import NULL_TRACER, Tracer
 
 
@@ -110,12 +110,6 @@ class Router(ClockedComponent):
         self._ctr_be_flits_in = stats_reg.counter("be_flits_in")
         self._ctr_gt_flits_out = stats_reg.counter("gt_flits_out")
         self._ctr_be_flits_out = stats_reg.counter("be_flits_out")
-        #: Columnar accumulator for the BE arbitration pass: each pass
-        #: records its batch of sends as one column entry, folded into
-        #: ``be_flits_out`` at the pass boundary so observers between
-        #: events always see exact totals while the per-flit inner loop
-        #: stays free of counter-object traffic.
-        self._col_be_flits_out = CounterColumn(self._ctr_be_flits_out)
         self._ctr_gt_conflicts = stats_reg.counter("gt_conflicts")
         self._ctr_be_backpressure = stats_reg.counter("be_backpressure_stalls")
         self._ctr_slot_mismatches = stats_reg.counter(
@@ -379,11 +373,10 @@ class Router(ClockedComponent):
                         0 if pointer >= num_ports else pointer)
                 break
         if sent:
-            # Pass boundary (the BE burst boundary): record this pass's
-            # batch in the column and fold it, so between-event observers
+            # One bump per BE arbitration pass keeps the per-flit inner
+            # loop free of counter traffic; observers between events still
             # see exact ``be_flits_out`` totals.
-            self._col_be_flits_out.append(sent)
-            self._col_be_flits_out.flush()
+            self._ctr_be_flits_out.value += sent
 
     def _send_flit(self, port: int, output: int, gt: bool, cycle: int) -> None:
         state = self._inputs[port]
@@ -416,8 +409,8 @@ class Router(ClockedComponent):
         link.send(flit)
         if gt:
             self._ctr_gt_flits_out.value += 1
-        # BE sends are tallied by the caller's pass-level column entry
-        # (``_forward_be``) rather than per flit here.
+        # BE sends are tallied once per pass by the caller (``_forward_be``)
+        # rather than per flit here.
         self._rate_flits_out.add(cycle)
         if self.tracer.enabled:
             self.tracer.record(self._now_ps(), self.name, "forward",

@@ -9,12 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
-
-try:  # NumPy accelerates the columnar paths when present; never required.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is in the base image
-    _np = None
+from typing import Dict, List, Optional
 
 
 class Counter:
@@ -254,48 +249,6 @@ class WindowedRate:
         return {"window": float(self.window),
                 "rate_per_cycle": self.rate(now_cycle),
                 "total": float(self.total)}
-
-
-class CounterColumn:
-    """Columnar accumulator: per-flit counter bumps become array appends.
-
-    The batched receive/forward paths accumulate amounts here (a plain
-    int-list column) and :meth:`flush` the sum into the real
-    :class:`Counter` at burst boundaries, so `Stats` totals are identical
-    while the per-flit cost drops to an append.
-    """
-
-    __slots__ = ("counter", "_column")
-
-    def __init__(self, counter: Counter) -> None:
-        self.counter = counter
-        self._column: List[int] = []
-
-    def append(self, amount: int = 1) -> None:
-        self._column.append(amount)
-
-    @property
-    def pending(self) -> int:
-        return len(self._column)
-
-    def flush(self) -> int:
-        """Fold the column into the counter; returns the flushed total."""
-        column = self._column
-        if not column:
-            return 0
-        if _np is not None and len(column) > 32:
-            total = int(_np.sum(_np.asarray(column, dtype=_np.int64)))
-        else:
-            total = sum(column)
-        self.counter.value += total
-        del column[:]
-        return total
-
-
-def flush_columns(columns: Sequence[CounterColumn]) -> None:
-    """Flush a set of columnar accumulators (burst-boundary hook)."""
-    for column in columns:
-        column.flush()
 
 
 @dataclass

@@ -1,14 +1,14 @@
-"""Equivalence suite: SystemBuilder output is byte-identical to the legacy
-hand-rolled testbench assembly.
+"""Equivalence suite: SystemBuilder output is byte-identical to the seed-era
+hand-rolled system assembly.
 
-The legacy ``repro.testbench`` builders are now thin wrappers over
-:mod:`repro.api`.  To guarantee the redesign changed *nothing* about the
-simulated systems, this suite keeps verbatim copies of the seed-era manual
-assembly code (NI specs, shell wiring, connection programs — exactly as
-``testbench.py`` hand-rolled them before the redesign) as golden references
-and asserts that running the wrapper-built system produces byte-identical
-counters, latencies, memory traffic, event counts and traces on the E10
-(GT/BE mix) and E11 (narrowcast) workloads.
+To guarantee the declarative :mod:`repro.api` redesign changed *nothing*
+about the simulated systems, this suite keeps verbatim copies of the
+seed-era manual assembly code (NI specs, shell wiring, connection programs,
+exactly as they were hand-rolled before the redesign) as golden references
+and asserts that running the registry-built system
+(:func:`repro.api.scenarios.build`) produces byte-identical counters,
+latencies, memory traffic, event counts and traces on the E10 (GT/BE mix)
+and E11 (narrowcast) workloads.
 """
 
 import math
@@ -30,12 +30,7 @@ from repro.ip.slave import MemorySlave
 from repro.ip.traffic import ConstantBitRateTraffic
 from repro.protocol.transactions import Transaction
 from repro.sim.trace import Tracer
-from repro.api import SystemBuilder
-from repro.testbench import (
-    build_gt_be_mix,
-    build_narrowcast,
-    build_point_to_point,
-)
+from repro.api import SystemBuilder, scenarios
 
 
 def normalize(obj):
@@ -63,13 +58,20 @@ def fingerprint(system, masters, memories):
     })
 
 
+def mix_fingerprint(system, num_pairs):
+    """:func:`fingerprint` of a ``gt_be_mix`` system's IPs, in pair order."""
+    return fingerprint(
+        system, [system.master(f"m{i}").ip for i in range(num_pairs)],
+        [system.memory(f"s{i}").ip for i in range(num_pairs)])
+
+
 # ---------------------------------------------------------------------------
 # Golden reference: the seed-era manual assembly, copied verbatim
 # ---------------------------------------------------------------------------
 def legacy_gt_be_mix(num_gt=1, num_be=1, gt_slots=2, num_slots=8,
                      queue_words=8, gt_pattern_period=12, be_pattern_period=6,
                      burst_words=4, port_clock_mhz=500.0, posted_writes=True):
-    """The pre-redesign build_gt_be_mix body (E10)."""
+    """The pre-redesign ``gt_be_mix`` assembly (E10)."""
     ni_specs = []
     names = []
     for index in range(num_gt + num_be):
@@ -133,7 +135,7 @@ def legacy_gt_be_mix(num_gt=1, num_be=1, gt_slots=2, num_slots=8,
 def legacy_narrowcast(num_slaves=2, range_words=1024, rows=1, cols=2,
                       num_slots=8, queue_words=8, port_clock_mhz=500.0,
                       slave_latency=1):
-    """The pre-redesign build_narrowcast body (E11)."""
+    """The pre-redesign ``narrowcast`` assembly (E11)."""
     master_ni = "ni_m"
     slave_nis = [f"ni_s{i}" for i in range(num_slaves)]
     mesh_nodes = [(r, c) for r in range(rows) for c in range(cols)]
@@ -189,7 +191,7 @@ def legacy_narrowcast(num_slaves=2, range_words=1024, rows=1, cols=2,
 
 
 def legacy_point_to_point_traced(tracer, gt, max_transactions):
-    """The pre-redesign build_point_to_point body, with tracing wired in."""
+    """The pre-redesign ``point_to_point`` assembly, with tracing wired in."""
     master_ni, slave_ni = "ni_m", "ni_s"
     queue_words = 8
     spec = NoCSpec(
@@ -252,13 +254,11 @@ class TestE10GtBeMixEquivalence:
         legacy_system.run_flit_cycles(1500)
         golden = fingerprint(legacy_system, legacy_masters, legacy_memories)
 
-        tb = build_gt_be_mix(num_gt=2, num_be=2, gt_slots=2,
-                             gt_pattern_period=8, be_pattern_period=4,
-                             burst_words=4)
-        tb.run_flit_cycles(1500)
-        ours = fingerprint(tb.system, [p.master for p in tb.pairs],
-                           [p.memory for p in tb.pairs])
-        assert ours == golden
+        system = scenarios.build("gt_be_mix", num_gt=2, num_be=2, gt_slots=2,
+                                 gt_pattern_period=8, be_pattern_period=4,
+                                 burst_words=4)
+        system.run_flit_cycles(1500)
+        assert mix_fingerprint(system, 4) == golden
 
     def test_non_default_parameters_also_identical(self):
         params = dict(num_gt=1, num_be=2, gt_slots=3, num_slots=12,
@@ -270,11 +270,9 @@ class TestE10GtBeMixEquivalence:
         legacy_system.run_flit_cycles(1000)
         golden = fingerprint(legacy_system, legacy_masters, legacy_memories)
 
-        tb = build_gt_be_mix(**params)
-        tb.run_flit_cycles(1000)
-        ours = fingerprint(tb.system, [p.master for p in tb.pairs],
-                           [p.memory for p in tb.pairs])
-        assert ours == golden
+        system = scenarios.build("gt_be_mix", **params)
+        system.run_flit_cycles(1000)
+        assert mix_fingerprint(system, 3) == golden
 
 
 class TestE11NarrowcastEquivalence:
@@ -296,10 +294,13 @@ class TestE11NarrowcastEquivalence:
         legacy_system.run_flit_cycles(3000)
         golden = fingerprint(legacy_system, [legacy_master], legacy_memories)
 
-        tb = build_narrowcast(num_slaves=3, range_words=128, rows=2, cols=2)
-        self.workload(tb.master, 128, 3)
-        tb.run_flit_cycles(3000)
-        ours = fingerprint(tb.system, [tb.master], tb.memories)
+        system = scenarios.build("narrowcast", num_slaves=3, range_words=128,
+                                 rows=2, cols=2)
+        master = system.master("master").ip
+        self.workload(master, 128, 3)
+        system.run_flit_cycles(3000)
+        ours = fingerprint(system, [master],
+                           [system.memory(f"ni_s{i}").ip for i in range(3)])
         assert ours == golden
 
 
@@ -345,20 +346,3 @@ class TestP2PTraceEquivalence:
         assert rows(legacy_tracer) == rows(builder_tracer)
         assert len(builder_tracer.events) > 0
 
-
-class TestP2PWrapperCompatibility:
-    def test_wrapper_exposes_legacy_fields(self):
-        tb = build_point_to_point(gt=True, max_transactions=5)
-        assert tb.master_ni == "ni_m" and tb.slave_ni == "ni_s"
-        assert tb.master_shell.name == "m_shell"
-        assert tb.master_conn_shell.name == "m_conn"
-        assert tb.slave_shell.name == "s_shell"
-        assert tb.spec.name == "tb"
-        assert tb.slot_assignment[("ni_m", 0)]
-        ran = tb.run_until_done()
-        assert tb.master.done()
-        assert ran < 20000  # no 50-cycle overshoot loop to the cap
-        assert len(tb.master.completed) == 5
-        # The richer API handle rides along.
-        assert tb.api is not None
-        assert tb.api.master("master").ip is tb.master

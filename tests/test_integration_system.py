@@ -2,54 +2,68 @@
 
 import pytest
 
+from repro.api import scenarios
 from repro.config.connection import (
     ChannelEndpointRef,
     ChannelPairSpec,
     ConnectionSpec,
 )
 from repro.protocol.transactions import Transaction
-from repro.testbench import build_config_system, build_gt_be_mix, build_narrowcast
+
+#: Flit-cycle caps of a run to idle: the narrowcast system and the
+#: configuration system.
+NARROWCAST_RUN_CAP = 40000
+CONFIG_RUN_CAP = 20000
+
+
+def run_config_to_idle(system, max_flit_cycles=CONFIG_RUN_CAP):
+    """Run until the configuration shell has drained its programs."""
+    return system.run_until_idle(max_flit_cycles,
+                                 predicate=system.config_shell.is_idle)
 
 
 class TestGtBeMix:
     def test_gt_and_be_pairs_both_make_progress(self):
-        mix = build_gt_be_mix(num_gt=1, num_be=1, gt_slots=2)
+        mix = scenarios.build("gt_be_mix", num_gt=1, num_be=1, gt_slots=2)
         mix.run_flit_cycles(1500)
-        for pair in mix.pairs:
-            assert len(pair.master.completed) > 10, pair.name
+        for name, master in mix.masters.items():
+            assert len(master.completed) > 10, name
 
     def test_gt_throughput_unaffected_by_be_load(self):
         """Compositionality: adding BE traffic must not slow the GT channel."""
-        quiet = build_gt_be_mix(num_gt=1, num_be=0, gt_slots=2,
+        quiet = scenarios.build("gt_be_mix", num_gt=1, num_be=0, gt_slots=2,
                                 gt_pattern_period=12)
-        loaded = build_gt_be_mix(num_gt=1, num_be=3, gt_slots=2,
+        loaded = scenarios.build("gt_be_mix", num_gt=1, num_be=3, gt_slots=2,
                                  gt_pattern_period=12, be_pattern_period=4)
         quiet.run_flit_cycles(2000)
         loaded.run_flit_cycles(2000)
-        quiet_done = len(quiet.gt_pairs()[0].master.completed)
-        loaded_done = len(loaded.gt_pairs()[0].master.completed)
+        # GT pairs come first: m0 is the guaranteed master in both systems.
+        quiet_done = len(quiet.master("m0").completed)
+        loaded_done = len(loaded.master("m0").completed)
         assert loaded_done >= quiet_done * 0.95
 
     def test_be_latency_degrades_under_gt_load(self):
-        light = build_gt_be_mix(num_gt=0, num_be=1, be_pattern_period=12)
-        heavy = build_gt_be_mix(num_gt=3, num_be=1, gt_slots=2,
+        light = scenarios.build("gt_be_mix", num_gt=0, num_be=1,
+                                be_pattern_period=12)
+        heavy = scenarios.build("gt_be_mix", num_gt=3, num_be=1, gt_slots=2,
                                 gt_pattern_period=4, be_pattern_period=12)
         light.run_flit_cycles(2000)
         heavy.run_flit_cycles(2000)
-        light_latency = light.be_pairs()[0].master.latency_summary()["mean"]
-        heavy_latency = heavy.be_pairs()[0].master.latency_summary()["mean"]
+        # The best-effort master follows the GT ones: m0 alone, m3 behind 3.
+        light_latency = light.master("m0").latency_summary()["mean"]
+        heavy_latency = heavy.master("m3").latency_summary()["mean"]
         assert heavy_latency >= light_latency
 
     def test_shared_link_carries_both_traffic_classes(self):
-        mix = build_gt_be_mix(num_gt=1, num_be=1, gt_slots=2)
+        mix = scenarios.build("gt_be_mix", num_gt=1, num_be=1, gt_slots=2)
         mix.run_flit_cycles(1000)
-        link = mix.shared_link()
+        link = mix.noc.links[("router:(0, 0)", "router:(0, 1)")]
         assert link.gt_flits_carried > 0
         assert link.be_flits_carried > 0
 
     def test_slot_allocations_disjoint_across_gt_pairs(self):
-        mix = build_gt_be_mix(num_gt=3, num_be=0, gt_slots=2)
-        assignment = mix.system.allocator.assignment_map()
+        mix = scenarios.build("gt_be_mix", num_gt=3, num_be=0, gt_slots=2)
+        assignment = mix.slot_assignment
         all_link_slots = set()
         for (ni, channel), slots in assignment.items():
             for slot in slots:
@@ -68,75 +82,79 @@ class TestGtBeMix:
 
 class TestNarrowcast:
     def test_shared_address_space_is_split_over_memories(self):
-        tb = build_narrowcast(num_slaves=2, range_words=256)
-        tb.master.issue(Transaction.write(0x10, [1, 2]))
-        tb.master.issue(Transaction.write(256 * 4 + 0x10, [3, 4]))
-        tb.run_until_done()
-        assert tb.memories[0].memory.read_burst(0x10, 2) == [1, 2]
-        assert tb.memories[1].memory.read_burst(0x10, 2) == [3, 4]
+        system = scenarios.build("narrowcast", num_slaves=2, range_words=256)
+        master = system.master("master")
+        master.issue(Transaction.write(0x10, [1, 2]))
+        master.issue(Transaction.write(256 * 4 + 0x10, [3, 4]))
+        system.run_until_idle(NARROWCAST_RUN_CAP)
+        assert system.memory("ni_s0").memory.read_burst(0x10, 2) == [1, 2]
+        assert system.memory("ni_s1").memory.read_burst(0x10, 2) == [3, 4]
 
     def test_reads_come_back_from_the_right_memory(self):
-        tb = build_narrowcast(num_slaves=3, range_words=128, cols=2)
+        system = scenarios.build("narrowcast", num_slaves=3, range_words=128,
+                                 cols=2)
+        master = system.master("master")
         for slave in range(3):
-            tb.master.issue(Transaction.write(slave * 128 * 4, [100 + slave]))
+            master.issue(Transaction.write(slave * 128 * 4, [100 + slave]))
         for slave in range(3):
-            tb.master.issue(Transaction.read(slave * 128 * 4, length=1))
-        tb.run_until_done()
-        reads = [t for t in tb.master.completed if t.is_read]
+            master.issue(Transaction.read(slave * 128 * 4, length=1))
+        system.run_until_idle(NARROWCAST_RUN_CAP)
+        reads = [t for t in master.completed if t.is_read]
         assert [t.response.read_data[0] for t in reads] == [100, 101, 102]
 
     def test_responses_delivered_in_transaction_order(self):
-        tb = build_narrowcast(num_slaves=2, range_words=256)
+        system = scenarios.build("narrowcast", num_slaves=2, range_words=256)
+        master = system.master("master")
         addresses = [0x0, 256 * 4, 0x20, 256 * 4 + 0x20]
         for address in addresses:
-            tb.master.issue(Transaction.write(address, [address]))
-        tb.run_until_done()
-        assert [t.address for t in tb.master.completed] == addresses
+            master.issue(Transaction.write(address, [address]))
+        system.run_until_idle(NARROWCAST_RUN_CAP)
+        assert [t.address for t in master.completed] == addresses
 
     def test_out_of_range_address_is_rejected_by_the_shell(self):
-        tb = build_narrowcast(num_slaves=2, range_words=64)
-        tb.master.issue(Transaction.write(10_000_000, [1]))
+        system = scenarios.build("narrowcast", num_slaves=2, range_words=64)
+        system.master("master").issue(Transaction.write(10_000_000, [1]))
         with pytest.raises(Exception):
-            tb.run_flit_cycles(500)
+            system.run_flit_cycles(500)
 
 
 class TestConfigurationOverTheNoc:
     def test_bootstrap_completes_and_acknowledges(self):
-        tb = build_config_system(num_data_nis=2)
-        tb.run_until_config_idle()
-        assert tb.config_shell.is_idle()
-        acks = tb.config_shell.stats.counter("acknowledgements").value
+        system = scenarios.build("config_system", num_data_nis=2)
+        run_config_to_idle(system)
+        assert system.config_shell.is_idle()
+        acks = system.config_shell.stats.counter("acknowledgements").value
         assert acks == 2      # one acknowledged write per bootstrapped NI
 
     def test_connection_opened_via_the_noc_matches_functional_result(self):
-        tb = build_config_system(num_data_nis=2)
-        tb.run_until_config_idle()
+        system = scenarios.build("config_system", num_data_nis=2)
+        run_config_to_idle(system)
         spec = ConnectionSpec(
             name="b_to_a", kind="p2p",
             pairs=[ChannelPairSpec(master=ChannelEndpointRef("ni1", 1),
                                    slave=ChannelEndpointRef("ni2", 1),
                                    request_gt=True, request_slots=2)])
-        handle = tb.manager.open_connection(spec)
-        tb.run_until_config_idle()
+        handle = system.config_manager.open_connection(spec)
+        run_config_to_idle(system)
         assert handle.done
-        kernel = tb.system.kernel("ni1")
+        kernel = system.kernel("ni1")
         assert kernel.channel(1).regs.enabled
         assert kernel.channel(1).regs.gt
-        assert kernel.channel(1).regs.path == tb.system.noc.route("ni1", "ni2")
+        assert kernel.channel(1).regs.path == system.noc.route("ni1", "ni2")
         assert len(kernel.slot_table.slots_of(1)) == 2
-        slave_kernel = tb.system.kernel("ni2")
+        slave_kernel = system.kernel("ni2")
         assert slave_kernel.channel(1).regs.enabled
 
     def test_register_write_counts_match_figure_9_scale(self):
         """The paper: 5 writes at the master NI, 3 at the slave NI per pair."""
-        tb = build_config_system(num_data_nis=2)
-        tb.run_until_config_idle()
+        system = scenarios.build("config_system", num_data_nis=2)
+        run_config_to_idle(system)
         spec = ConnectionSpec(
             name="plain_be", kind="p2p",
             pairs=[ChannelPairSpec(master=ChannelEndpointRef("ni1", 1),
                                    slave=ChannelEndpointRef("ni2", 1))])
-        handle = tb.manager.open_connection(spec)
-        tb.run_until_config_idle()
+        handle = system.config_manager.open_connection(spec)
+        run_config_to_idle(system)
         per_ni = handle.register_writes_per_ni
         assert 3 <= per_ni["ni1"] <= 6
         assert 3 <= per_ni["ni2"] <= 6
@@ -148,9 +166,8 @@ class TestConfigurationOverTheNoc:
         from repro.core.shells.slave import SlaveShell
         from repro.ip.slave import MemorySlave
 
-        tb = build_config_system(num_data_nis=2)
-        tb.run_until_config_idle()
-        system = tb.system
+        system = scenarios.build("config_system", num_data_nis=2)
+        run_config_to_idle(system)
         # Attach a master IP to ni1's data port (channel 1 = data conn 0) and
         # a memory slave to ni2's data port.
         master_conn = PointToPointShell("b_conn",
@@ -173,15 +190,17 @@ class TestConfigurationOverTheNoc:
             name="b_to_a", kind="p2p",
             pairs=[ChannelPairSpec(master=ChannelEndpointRef("ni1", 1),
                                    slave=ChannelEndpointRef("ni2", 1))])
-        tb.manager.open_connection(spec)
-        tb.run_until_config_idle()
+        system.config_manager.open_connection(spec)
+        run_config_to_idle(system)
 
         master_shell.submit(Transaction.write(0x30, [5, 6, 7]))
-        tb.run_flit_cycles(600)
+        system.run_flit_cycles(600)
         assert memory.memory.read_burst(0x30, 3) == [5, 6, 7]
 
     def test_more_data_nis_bootstrap_on_a_larger_mesh(self):
-        tb = build_config_system(num_data_nis=3, rows=2, cols=2)
-        tb.run_until_config_idle(max_flit_cycles=40000)
-        assert tb.config_shell.is_idle()
-        assert tb.config_shell.stats.counter("acknowledgements").value == 3
+        system = scenarios.build("config_system", num_data_nis=3, rows=2,
+                                 cols=2)
+        run_config_to_idle(system, max_flit_cycles=40000)
+        assert system.config_shell.is_idle()
+        assert system.config_shell.stats.counter(
+            "acknowledgements").value == 3

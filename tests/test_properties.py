@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import scenarios
 from repro.core.queues import HardwareFifo, QueueError
 from repro.core.registers import PATH_MAX_HOPS, PATH_MAX_PORT, decode_path, encode_path
 from repro.network.packet import Packet, PacketHeader, packet_to_flits
 from repro.network.slot_table import SlotTable, SlotTableError
 from repro.protocol.transactions import Transaction
-from repro.testbench import build_point_to_point
 
 
 # ---------------------------------------------------------------------------
@@ -104,18 +104,19 @@ def test_slot_table_reference_model(actions):
                 min_size=1, max_size=6),
        st.booleans())
 def test_end_to_end_write_integrity(bursts, gt):
-    tb = build_point_to_point(gt=gt, request_slots=2, response_slots=2,
-                              max_transactions=0)
+    system = scenarios.build("point_to_point", gt=gt, request_slots=2,
+                             response_slots=2, max_transactions=0)
+    master, memory = system.master("master"), system.memory("memory")
     address = 0
     expected = {}
     for burst in bursts:
-        tb.master.issue(Transaction.write(address, burst))
+        master.issue(Transaction.write(address, burst))
         expected[address] = burst
         address += len(burst)
-    tb.run_until_done(max_flit_cycles=30000)
-    assert len(tb.master.completed) == len(bursts)
+    system.run_until_idle(max_flit_cycles=30000)
+    assert len(master.completed) == len(bursts)
     for base, burst in expected.items():
-        assert tb.memory.memory.read_burst(base, len(burst)) == burst
-    sent = tb.system.kernel(tb.master_ni).stats.counter("words_sent").value
-    received = tb.system.kernel(tb.slave_ni).stats.counter("words_received").value
+        assert memory.memory.read_burst(base, len(burst)) == burst
+    sent = system.kernel(master.ni).stats.counter("words_sent").value
+    received = system.kernel(memory.ni).stats.counter("words_received").value
     assert sent == received

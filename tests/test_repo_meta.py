@@ -52,6 +52,13 @@ def test_check_sh_runs_reprolint():
         "gate would be silently dropped from make check")
 
 
+def test_check_sh_runs_paper_experiments():
+    """The E1-E14 benches are only collected when named explicitly."""
+    text = (REPO_ROOT / "scripts" / "check.sh").read_text(encoding="utf-8")
+    assert "pytest -q benchmarks/bench_e*.py" in text, (
+        "scripts/check.sh no longer runs the paper experiments")
+
+
 def test_ci_runs_reprolint():
     text = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text(
         encoding="utf-8")

@@ -328,49 +328,6 @@ class TestWindowedRate:
 
 
 # ---------------------------------------------------------------------------
-# Columnar counter accumulators (batched stats layer)
-# ---------------------------------------------------------------------------
-class TestCounterColumn:
-    def test_flush_folds_sum_into_counter(self):
-        from repro.sim.stats import CounterColumn
-        counter = Counter("flits")
-        column = CounterColumn(counter)
-        for amount in (1, 1, 3, 2):
-            column.append(amount)
-        assert counter.value == 0        # nothing visible until the flush
-        assert column.pending == 4
-        assert column.flush() == 7
-        assert counter.value == 7
-        assert column.pending == 0
-
-    def test_flush_empty_is_noop(self):
-        from repro.sim.stats import CounterColumn
-        counter = Counter("flits")
-        column = CounterColumn(counter)
-        assert column.flush() == 0
-        assert counter.value == 0
-
-    def test_large_column_matches_small(self):
-        # Exercises the NumPy fold branch (len > 32) when NumPy is present.
-        from repro.sim.stats import CounterColumn
-        counter = Counter("flits")
-        column = CounterColumn(counter)
-        for i in range(100):
-            column.append(i)
-        assert column.flush() == sum(range(100))
-        assert counter.value == sum(range(100))
-
-    def test_flush_columns_helper(self):
-        from repro.sim.stats import CounterColumn, flush_columns
-        counters = [Counter("a"), Counter("b")]
-        columns = [CounterColumn(c) for c in counters]
-        columns[0].append(2)
-        columns[1].append(5)
-        flush_columns(columns)
-        assert [c.value for c in counters] == [2, 5]
-
-
-# ---------------------------------------------------------------------------
 # Counter-threshold trace triggers
 # ---------------------------------------------------------------------------
 class TestArmOnCounter:
